@@ -97,7 +97,6 @@ from .spectrum import (
     RadicalSubspace,
     character_residual,
     characters,
-    gelfand_transform,
     indicator_element,
     interpolate,
     is_nilpotent,

@@ -67,15 +67,12 @@ class Algebra:
     unit: np.ndarray
     basis_names: tuple[str, ...] | None
     certificate: ValidationCertificate
+    #: largest structure-constant magnitude, ‖c‖∞, computed once by validate
+    scale: float
 
     @property
     def dim(self) -> int:
         return self.unit.shape[0]
-
-    @property
-    def scale(self) -> float:
-        """Largest structure-constant magnitude, ‖c‖∞."""
-        return float(np.max(np.abs(self.structure_constants))) if self.dim else 0.0
 
     @property
     def eps_assoc(self) -> float:
@@ -223,7 +220,7 @@ def validate(structure_constants, unit, basis_names=None) -> Algebra:
     cert = ValidationCertificate(asymmetry=asym, assoc_residual=assoc_res,
                                  unit_residual=unit_res)
     return Algebra(structure_constants=_readonly(c), unit=_readonly(u),
-                   basis_names=basis_names, certificate=cert)
+                   basis_names=basis_names, certificate=cert, scale=scale)
 
 
 def polynomial_quotient(lower_coeffs, var: str = "t") -> Algebra:

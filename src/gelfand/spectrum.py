@@ -2,12 +2,15 @@
 
 A character of a commutative unital algebra is a nonzero multiplicative
 linear functional; it is determined by its value vector v with
-v_i = phi(b_i).  Such vectors are exactly the common left eigenvectors of
-the regular matrices L_{b_i}, rescaled so that phi(e) = 1, which is what
-:func:`characters` exploits: eigen-split along a seeded generic element,
-refine degenerate eigenspaces with the remaining basis matrices, polish
-every candidate against the defining equations, then certify, deduplicate
-and sort.  Nothing uncertified is ever returned.
+v_i = phi(b_i).  Such vectors are exactly the common eigenvectors of the
+transposed regular matrices L_{b_i}^T = c[i], rescaled so that
+phi(e) = 1.  In characteristic 0 the trace form tr(L_x L_y) equals
+sum_phi m_phi phi(x) phi(y), so its range is spanned by the character
+vectors and its kernel is the radical.  :func:`characters` therefore
+compresses one seeded generic matrix L_g^T to that range, where it is
+diagonalizable with eigenvalues phi(g), reads every character off its
+eigenvectors, then certifies and sorts them.  Nothing uncertified is ever
+returned.
 """
 
 from __future__ import annotations
@@ -35,12 +38,9 @@ RETRIES = 8
 #: base factor of the character-separation threshold 1e-6 * (1 + max|v|)
 SEP_BASE = 1e-6
 
-#: base factor of the nilpotency threshold 1e-8 * (1 + ‖x‖)^m
+#: base factor of the nilpotency thresholds: 1e-8 * (|T| |x|)_i on each row
+#: of the trace form and 1e-8 * (1 + ‖x‖)^m on the powers
 NILP_BASE = 1e-8
-
-_CLUSTER_RTOL = 1e-4    # eigenvalue clustering, relative to 1 + max|lambda|
-_COVER_RTOL = 2e-2      # spectrum coverage check, generous for Jordan blocks
-_POLISH_ITERS = 150
 
 
 def seeded_rng(seed: int, *key: int) -> np.random.Generator:
@@ -120,10 +120,6 @@ class CharacterSpace:
         return self.matrix() @ x
 
 
-def gelfand_transform(algebra: Algebra, space: CharacterSpace, x) -> np.ndarray:
-    return space.transform(x)
-
-
 def character_residual(algebra: Algebra, v: np.ndarray) -> float:
     """Worst violation of multiplicativity and unitality for a value vector."""
     mult = np.einsum("ijk,k->ij", algebra.structure_constants, v) - np.outer(v, v)
@@ -136,222 +132,90 @@ def separation_threshold(vectors) -> float:
     return SEP_BASE * (1.0 + peak)
 
 
-def _polish(algebra: Algebra, v: np.ndarray) -> np.ndarray:
-    """Gauss-Newton refinement of a candidate value vector.
+def trace_form(algebra: Algebra) -> np.ndarray:
+    """Gram matrix T[i, j] = tr(L_{b_i} L_{b_j}) of the trace form.
 
-    Converges quadratically for semisimple directions and linearly along
-    radical directions, which is exactly where raw eigenvector extraction
-    is limited to ~eps^(1/k) accuracy for k-step nilpotents.
+    Since L_{b_i} L_{b_j} = L_{b_i b_j}, the entry is sum_k c[i, j, k] tr(L_{b_k}),
+    one contraction of the tensor with its trace vector.  In characteristic
+    0, T = sum_phi m_phi v_phi v_phi^T over the characters with their
+    multiplicities, so its range is spanned by the character vectors and
+    its kernel is the radical.
     """
     c = algebra.structure_constants
-    u = algebra.unit
-    n = algebra.dim
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    target = 1e-14 * (1.0 + algebra.scale)
-
-    def system(w):
-        rows = [c[i, j] @ w - w[i] * w[j] for i, j in pairs]
-        rows.append(w @ u - 1.0)
-        return np.array(rows)
-
-    best = v.copy()
-    best_res = float(np.max(np.abs(system(best))))
-    w = v.copy()
-    stall = 0
-    for _ in range(_POLISH_ITERS):
-        f = system(w)
-        jac = np.empty((len(pairs) + 1, n), dtype=np.complex128)
-        for r, (i, j) in enumerate(pairs):
-            jac[r] = c[i, j]
-            jac[r, i] -= w[j]
-            jac[r, j] -= w[i]
-        jac[-1] = u
-        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        w = w + step
-        if not np.all(np.isfinite(w.view(np.float64))):
-            break
-        res = float(np.max(np.abs(system(w))))
-        if res < best_res:
-            best, best_res = w.copy(), res
-            stall = 0
-        else:
-            stall += 1
-        if best_res <= target or stall >= 4:
-            break
-    s = complex(best @ u)
-    if abs(s) > 1e-12:
-        best = best / s
-    return best
+    return c @ np.einsum("kaa->k", c)
 
 
-def _cluster(values: np.ndarray, tol: float):
-    """Single-linkage clusters of complex values, as lists of indices."""
-    m = len(values)
-    parent = list(range(m))
+def _in_trace_kernel(form: np.ndarray, x: np.ndarray) -> bool:
+    """Whether T x = 0, row by row relative to the size of the row's terms.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(m):
-        for b in range(a + 1, m):
-            if abs(values[a] - values[b]) <= tol:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    buckets: dict[int, list[int]] = {}
-    for a in range(m):
-        buckets.setdefault(find(a), []).append(a)
-    return [buckets[r] for r in sorted(buckets)]
-
-
-def _nullspace(mat: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the (approximate) null space, never empty."""
-    _, sing, vh = np.linalg.svd(mat)
-    k = mat.shape[1]
-    small = int(np.sum(sing <= tol)) + (k - len(sing))
-    if small == 0:
-        small = 1  # keep at least the least-significant direction
-    return vh[k - small:].conj().T
-
-
-def _drill(mats: list[np.ndarray], basis: np.ndarray, depth: int, out: list):
-    """Recursively intersect eigenspaces of the commuting family ``mats``.
-
-    ``basis`` has orthonormal columns spanning an invariant subspace; each
-    level splits it along the eigenvalues of the next matrix and keeps only
-    genuine eigenvector directions, which is where characters live.
+    A bound relative to the whole of T would let a character with large
+    values hide one with small values.
     """
-    k = basis.shape[1]
-    if k == 1 or depth == len(mats):
-        out.append(basis[:, 0])
-        return
-    small = basis.conj().T @ mats[depth] @ basis
-    eigs = np.linalg.eigvals(small)
-    scale = 1.0 + float(np.max(np.abs(eigs)))
-    for cluster in _cluster(eigs, _CLUSTER_RTOL * scale):
-        center = complex(np.mean(eigs[cluster]))
-        radius = max(abs(eigs[i] - center) for i in cluster)
-        shifted = small - center * np.eye(k)
-        top = float(np.linalg.norm(shifted, 2))
-        tol = max(3.0 * radius, 1e-8 * (1.0 + top))
-        null = _nullspace(shifted, tol)
-        if null.shape[1] == k and len(cluster) < k:
-            # the cluster cannot own the whole space; tighten to the
-            # cluster size to keep the recursion shrinking
-            null = null[:, -len(cluster):]
-        sub = basis @ null
-        if null.shape[1] == k:
-            _drill(mats, sub, depth + 1, out)
-        else:
-            q, _ = np.linalg.qr(sub)
-            _drill(mats, q, depth + 1, out)
-
-
-def _trace_kernel(algebra: Algebra) -> np.ndarray | None:
-    """Orthonormal kernel basis of the trace form tr(L_x L_y), or None.
-
-    The kernel of this bilinear form is exactly the set of elements every
-    character kills, and it falls out of one SVD at machine accuracy.  The
-    multiplicativity residual, by contrast, is degree-m flat along a
-    depth-m nilpotent direction, so polishing alone can leave candidates
-    smeared by residual^(1/m) there; projecting onto the annihilator of
-    the kernel pins those coordinates down.  Returns None when the form
-    has full rank and there is nothing to pin.
-    """
-    c = algebra.structure_constants
-    form = np.einsum("iab,jba->ij", c, c)
-    _, sing, vh = np.linalg.svd(form)
-    top = float(sing[0]) if len(sing) else 0.0
-    keep = int(np.sum(sing > 1e-12 * algebra.dim * (1.0 + top)))
-    if keep == algebra.dim:
-        return None
-    return vh[keep:].conj().T  # (dim, dim - keep), orthonormal columns
+    return bool(np.all(np.abs(form @ x) <= NILP_BASE * (np.abs(form) @ np.abs(x))))
 
 
 def characters(algebra: Algebra, seed: int = DEFAULT_SEED,
                retries: int = RETRIES) -> CharacterSpace:
     """Find and certify every character of the algebra.
 
-    Candidates are common left eigenvectors of the regular matrices,
-    located by eigen-splitting along a seeded generic element and refined
-    within degenerate eigenspaces using the remaining basis matrices.
-    Each candidate is polished, certified against multiplicativity and
-    unitality within eps_char, deduplicated at the separation threshold
-    and sorted lexicographically by interleaved (Re, Im).
+    The character vectors are the eigenvectors of L_g^T = sum_i g_i c[i]
+    for a generic g and span the range of the trace form, where that
+    matrix is diagonalizable with eigenvalues phi(g).  Compressing it to an
+    orthonormal basis Q of the range (one SVD, whose rank is the character
+    count) and mapping the eigenvectors back through Q gives one candidate
+    per character; each is normalized to phi(e) = 1, certified against
+    multiplicativity and unitality within eps_char, and the set is sorted
+    lexicographically by interleaved (Re, Im).
 
-    A retry with a fresh generic element is triggered when the certified
-    set fails to cover the spectrum of the generic regular matrix; after
+    A fresh generic element is drawn when two eigenvalues lie closer than
+    the separation threshold or a candidate fails certification; after
     ``retries`` attempts :class:`CertificationFailed` is raised.
     """
     n = algebra.dim
     c = algebra.structure_constants
-    basis_mats = [np.ascontiguousarray(c[i]) for i in range(n)]  # c[i] = L_{b_i}^T
     eps = algebra.eps_char
-    kernel = _trace_kernel(algebra)
+    form = trace_form(algebra)
+    u, sing, vh = np.linalg.svd(form)
+    rank = int(np.sum(sing > 1e-12 * n * (1.0 + float(sing[0]))))
+    # the cut is absolute in T's scale and can drop a character whose
+    # values are small; keep every direction up to the last one past the
+    # cut that is not in the kernel of T row by row
+    rank = max([rank] + [j + 1 for j in range(rank, n)
+                         if not _in_trace_kernel(form, vh[j].conj())])
+    q = u[:, :rank]
 
-    worst_uncovered = np.inf
+    best_gap = 0.0
     worst_residual = 0.0
     for attempt in range(retries):
         rng = seeded_rng(seed, 1, attempt)
         g = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
         generic = np.tensordot(g, c, axes=(0, 0))  # = L_g transposed
-
-        raw: list[np.ndarray] = []
-        _drill([generic] + basis_mats, np.eye(n, dtype=np.complex128), 0, raw)
-
-        accepted: list[np.ndarray] = []
-        residuals: list[float] = []
-        for w in raw:
-            s = complex(w @ algebra.unit)
-            if abs(s) <= 1e-10:
-                continue
-            v = _polish(algebra, w / s)
-            if kernel is not None:
-                v = v - kernel.conj() @ (kernel.T @ v)
-                s = complex(v @ algebra.unit)
-                if abs(s) <= 1e-10:
-                    continue
-                v = v / s
-            res = character_residual(algebra, v)
-            worst_residual = max(worst_residual, res) if res > eps else worst_residual
-            if res > eps:
-                continue
-            gap = SEP_BASE * (1.0 + max(float(np.max(np.abs(v))),
-                                        max((float(np.max(np.abs(a))) for a in accepted),
-                                            default=0.0)))
-            if any(np.max(np.abs(v - a)) < gap for a in accepted):
-                continue
-            accepted.append(v)
-            residuals.append(res)
-
-        # coverage: every eigenvalue of the generic matrix must be realized
-        # as phi(g) by some certified character
-        spectrum = np.linalg.eigvals(generic)
-        cover_tol = _COVER_RTOL * (1.0 + float(np.max(np.abs(spectrum))))
-        if accepted:
-            vals = np.array([v @ g for v in accepted])
-            miss = float(np.max([np.min(np.abs(vals - mu)) for mu in spectrum]))
-        else:
-            miss = np.inf
-        if miss <= cover_tol and len(accepted) <= n:
-            order = sorted(range(len(accepted)),
-                           key=lambda a: _sort_key(accepted[a], accepted))
-            chars = tuple(Character(values=_freeze(accepted[a]),
-                                    residual=residuals[a]) for a in order)
-            return CharacterSpace(algebra=algebra, characters=chars,
-                                  delta_sep=separation_threshold(
-                                      [ch.values for ch in chars]),
-                                  seed=seed)
-        worst_uncovered = min(worst_uncovered, miss)
+        eigs, w = np.linalg.eig(q.conj().T @ generic @ q)
+        dist = np.abs(eigs[:, None] - eigs[None, :])
+        np.fill_diagonal(dist, np.inf)
+        gap = float(np.min(dist))
+        best_gap = max(best_gap, gap)
+        if gap < separation_threshold([eigs]):
+            continue
+        vecs = q @ w
+        found = list((vecs / (algebra.unit @ vecs)).T)
+        residuals = [character_residual(algebra, v) for v in found]
+        worst = float(np.max(residuals))
+        if not worst <= eps:
+            worst_residual = max(worst_residual, worst)
+            continue
+        order = sorted(range(len(found)), key=lambda a: _sort_key(found[a], found))
+        chars = tuple(Character(values=_freeze(found[a]), residual=residuals[a])
+                      for a in order)
+        return CharacterSpace(algebra=algebra, characters=chars,
+                              delta_sep=separation_threshold([ch.values for ch in chars]),
+                              seed=seed)
 
     raise CertificationFailed(
-        f"character search failed after {retries} attempts: spectrum coverage "
-        f"gap {worst_uncovered:.3e}, worst rejected residual {worst_residual:.3e} "
+        f"character search failed after {retries} attempts: best eigenvalue "
+        f"gap {best_gap:.3e}, worst rejected residual {worst_residual:.3e} "
         f"(eps_char {eps:.3e})",
-        retries=retries, coverage_gap=worst_uncovered,
+        retries=retries, eigenvalue_gap=best_gap,
         worst_residual=worst_residual, eps_char=eps)
 
 
@@ -399,13 +263,16 @@ class RadicalSubspace:
 
 
 def radical(algebra: Algebra, space: CharacterSpace) -> RadicalSubspace:
-    """Null space of the character matrix, certified nilpotent columnwise."""
+    """Null space of the character matrix, certified nilpotent columnwise.
+
+    Distinct characters are linearly independent, so the null space has
+    dimension dim - count; no rank cut is needed, and none can mistake a
+    character with small values for a radical direction.
+    """
     phi = space.matrix()
     n = algebra.dim
-    _, sing, vh = np.linalg.svd(phi)
-    top = float(sing[0]) if len(sing) else 1.0
-    rank = int(np.sum(sing > 1e-9 * (1.0 + top) * n))
-    basis = vh[rank:].conj().T  # (n, n - rank), orthonormal
+    vh = np.linalg.svd(phi)[2]
+    basis = vh[len(phi):].conj().T  # (n, n - count), orthonormal
     t_res = 0.0
     p_res = 0.0
     for col in basis.T:
@@ -420,8 +287,16 @@ def nilpotency_threshold(x_norm: float, m: int) -> float:
 
 
 def is_nilpotent(algebra: Algebra, x) -> tuple[bool, int | None]:
-    """Whether x^dim vanishes; returns (flag, smallest such exponent)."""
+    """Whether x is nilpotent; returns (flag, an exponent m with x^m = 0).
+
+    x is nilpotent exactly when it lies in the radical, the kernel of the
+    trace form, which decides the flag.  The exponent is the first power
+    that falls below the nilpotency threshold or, when roundoff in the
+    powers hides it, dim, since x^dim = 0 for every nilpotent x.
+    """
     x = algebra.element(x)
+    if not _in_trace_kernel(trace_form(algebra), x):
+        return False, None
     xn = float(np.linalg.norm(x))
     lx = algebra.left_regular(x)
     p = algebra.unit
@@ -429,7 +304,7 @@ def is_nilpotent(algebra: Algebra, x) -> tuple[bool, int | None]:
         p = lx @ p
         if float(np.max(np.abs(p))) <= nilpotency_threshold(xn, m):
             return True, m
-    return False, None
+    return True, algebra.dim
 
 
 def separating_element(algebra: Algebra, phi: Character, psi: Character) -> np.ndarray:
@@ -493,16 +368,18 @@ def interpolate(algebra: Algebra, space: CharacterSpace, targets) -> np.ndarray:
     """An element whose Gelfand transform matches the target values.
 
     ``targets`` lists one complex value per character, in the order of
-    ``space.characters``.
+    ``space.characters``.  The characters are linearly independent, so the
+    character matrix has full row rank and one least-squares solve gives
+    the minimum-norm solution.
     """
     f = np.asarray(targets, dtype=np.complex128)
     if f.shape != (len(space),):
         raise LengthMismatch(
             f"expected {len(space)} target values, got shape {f.shape}",
             expected=len(space), got=list(f.shape))
-    w = np.zeros(algebra.dim, dtype=np.complex128)
-    for val, phi in zip(f, space):
-        if val == 0:
-            continue
-        w = w + val * indicator_element(algebra, space.characters, phi)
+    w, _, rank, _ = np.linalg.lstsq(space.matrix(), f, rcond=None)
+    if rank < len(space):
+        raise PropertyViolated(
+            f"character matrix has numerical rank {rank} < {len(space)}",
+            rank=int(rank), count=len(space))
     return w

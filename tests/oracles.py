@@ -112,6 +112,9 @@ def trace_form_radical(c):
     Dickson's criterion over a characteristic-0 field: x is in the radical
     iff tr(L_x L_y) = 0 for all y, so the radical is the null space of the
     Gram matrix T[i, j] = tr(L_i L_j) of the basis regular matrices.
+    The code path (explicit matrix products and traces) is independent,
+    but the library's characters rest on the same criterion, so the
+    independent check of the radical is ``naive_power`` on its columns.
     """
     c = np.asarray(c, dtype=np.complex128)
     n = c.shape[0]

@@ -9,7 +9,6 @@ from gelfand import (
     InvalidNorm,
     characters,
     dual_numbers,
-    gelfand_transform,
     homomorphism_norm,
     operator_norm,
     polynomial_quotient,
@@ -64,7 +63,7 @@ def test_sup_norm_equals_linf_of_transform_exactly():
     n = sup_norm(alg, space)
     xs = alg.random_elements(50, seeded_rng(7))
     for x in xs:
-        assert n.of(x) == float(np.max(np.abs(gelfand_transform(alg, space, x))))
+        assert n.of(x) == float(np.max(np.abs(space.transform(x))))
 
 
 def test_suggested_weights_frozen():

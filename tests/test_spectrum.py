@@ -1,7 +1,13 @@
 """Characters, transform, radical, nilpotents, separation."""
 
+from collections import Counter
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 
 from gelfand import (
@@ -9,14 +15,16 @@ from gelfand import (
     LengthMismatch,
     NotDistinct,
     NotMember,
+    PropertyViolated,
     dual_numbers,
     polynomial_quotient,
+    random_algebra,
     validate,
 )
 from gelfand.spectrum import (
     Character,
+    CharacterSpace,
     characters,
-    gelfand_transform,
     indicator_element,
     interpolate,
     is_nilpotent,
@@ -24,7 +32,7 @@ from gelfand.spectrum import (
     separating_element,
 )
 
-from oracles import match_rows, newton_characters, trace_form_radical
+from oracles import match_rows, naive_power, newton_characters, trace_form_radical
 
 
 @pytest.fixture(scope="module")
@@ -272,11 +280,141 @@ def test_newton_oracle_matches(parity, cubic_nil):
 
 
 def test_zero_retries_reports_failure(parity):
-    with pytest.raises(CertificationFailed):
+    with pytest.raises(CertificationFailed) as info:
         characters(parity, retries=0)
+    details = info.value.payload()["details"]
+    assert details["retries"] == 0
+    assert {"eigenvalue_gap", "worst_residual", "eps_char"} <= set(details)
 
 
-def test_gelfand_transform_function(parity):
-    space = characters(parity)
-    x = np.array([2.0, -1.0j])
-    assert np.array_equal(gelfand_transform(parity, space, x), space.transform(x))
+# repeated and near-coincident roots, in the monomial basis of C[t]/(q)
+HARD_ROOTS = {
+    "(t-1)^8": [1.0] * 8,
+    "(t-1)^12": [1.0] * 12,
+    "1,1+1e-4,2": [1.0, 1.0 + 1e-4, 2.0],
+    "2x5,-1x2,3": [2.0] * 5 + [-1.0] * 2 + [3.0],
+}
+
+
+def _local_jets(x, roots):
+    """Images of x under C[t]/(q) -> C[s]/(s^m) at each root r, s = t - r.
+
+    These are the Taylor coefficients of the polynomial with coefficient
+    vector x, and by the Chinese remainder theorem x is nilpotent exactly
+    when every image is; in the shifted bases the jet structure constants
+    are 0 and 1, so naive powers there are free of the monomial basis's
+    ill-scaling.
+    """
+    for r, m in Counter(roots).items():
+        coeffs = np.array([sum(x[k] * comb(k, j) * r ** (k - j) for k in range(j, len(x)))
+                           for j in range(m)])
+        jet = np.zeros((m, m, m))
+        for i in range(m):
+            for j in range(m - i):
+                jet[i, j, i + j] = 1.0
+        yield jet, np.eye(m)[0], coeffs
+
+
+@pytest.mark.parametrize("name", list(HARD_ROOTS))
+def test_repeated_and_close_roots(name):
+    roots = HARD_ROOTS[name]
+    alg = polynomial_quotient(npoly.polyfromroots(roots)[:-1])
+    n = alg.dim
+    distinct = sorted(set(roots))
+    space = characters(alg)
+    assert len(space) == len(distinct)
+    want = np.array([[r ** k for k in range(n)] for r in distinct])
+    tol = 1e-6 * (1 + np.max(np.abs(want)))
+    assert match_rows(want, space.matrix(), tol) <= tol
+    rad = radical(alg, space)
+    assert rad.dim == n - len(distinct)
+    for col in rad.basis.T:
+        for jet, unit, a in _local_jets(col, roots):
+            power = naive_power(jet, unit, a, n)
+            assert np.max(np.abs(power)) <= 1e-8 * (1 + np.linalg.norm(a)) ** n, name
+
+
+def test_is_nilpotent_unit_modulus_phases():
+    # C^16 with coordinatewise product: x = (exp(2 pi i k / 16))_k is
+    # invertible, though |x^m| never falls while 1e-8 (1 + |x|)^m grows
+    n = 16
+    c = np.zeros((n, n, n))
+    for i in range(n):
+        c[i, i, i] = 1.0
+    alg = validate(c, np.ones(n))
+    x = np.exp(2j * np.pi * np.arange(n) / n)
+    assert is_nilpotent(alg, x) == (False, None)
+
+
+def test_is_nilpotent_idempotent_beside_large_root():
+    # C[t]/(t^2 (t - 200)): x = 1 - t^2/4e4 is the idempotent at the root 0,
+    # whose trace-form image (2, 0, 0) is tiny beside the entries 200^4
+    # that the root 200 puts into T
+    alg = polynomial_quotient([0.0, 0.0, -200.0])
+    assert is_nilpotent(alg, [1.0, 0.0, -2.5e-5]) == (False, None)
+    assert is_nilpotent(alg, [0.0, -200.0, 1.0]) == (True, 2)  # t (t - 200)
+
+
+def _scaled_sum(scales, nilpotent):
+    """C + C[e]/(e^2)... with block k's basis scaled by scales[k].
+
+    Block k holds the character with value scales[k] on its first basis
+    element; with nilpotent[k] it also holds a radical direction.
+    """
+    sizes = [1 + int(nil) for nil in nilpotent]
+    n = sum(sizes)
+    c = np.zeros((n, n, n))
+    unit = np.zeros(n)
+    o = 0
+    for s, k in zip(scales, sizes):
+        c[o, o, o] = s
+        if k == 2:
+            c[o, o + 1, o + 1] = c[o + 1, o, o + 1] = s
+        unit[o] = 1.0 / s
+        o += k
+    return validate(c, unit)
+
+
+@pytest.mark.parametrize("scales, nilpotent", [
+    ((1.0, 1e6), (False, False)),
+    ((1e6, 1e-3), (False, True)),
+    ((1e-3, 1e6), (True, True)),
+])
+def test_small_character_beside_large_one(scales, nilpotent):
+    # the small character's trace-form weight falls under an absolute
+    # rank cut of T, and its values under one of the character matrix
+    alg = _scaled_sum(scales, nilpotent)
+    space = characters(alg)
+    assert len(space) == len(scales)
+    want = np.zeros((len(scales), alg.dim))
+    o = 0
+    for k, s in enumerate(scales):
+        want[k, o] = s
+        o += 1 + int(nilpotent[k])
+    assert match_rows(want, space.matrix(), 1e-6) <= 1e-6 * max(scales)
+    rad = radical(alg, space)
+    assert rad.dim == sum(nilpotent)
+    for col in rad.basis.T:
+        assert is_nilpotent(alg, col)[0]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_random_algebras_counts_and_residuals(seed):
+    item = random_algebra(seed, max_dim=14)
+    alg = item.algebra
+    space = characters(alg)
+    assert len(space) == item.expected_characters
+    assert radical(alg, space).dim == item.expected_radical_dim
+    assert space.worst_residual <= alg.eps_char
+
+
+def test_interpolate_rejects_dependent_characters():
+    # pairwise separated but linearly dependent value vectors; such a
+    # space cannot come from characters(), and no element interpolates it
+    alg = polynomial_quotient([0, 0, 0])
+    rows = [np.array(v, dtype=complex) for v in ([1, 0, 0], [0, 1, 0], [1, 1, 0])]
+    space = CharacterSpace(algebra=alg, seed=0, delta_sep=1e-6,
+                           characters=tuple(Character(values=v, residual=0.0) for v in rows))
+    with pytest.raises(PropertyViolated):
+        interpolate(alg, space, [1, 2, 4])
