@@ -27,6 +27,7 @@ from .operators import adjoint, adjoint_defect, generate_star_subalgebra, \
     verify_gelfand_isomorphism
 from .serialize import (
     character_table_payload,
+    isomorphism_payload,
     parse_algebra,
     parse_group,
     parse_operator_model,
@@ -195,14 +196,7 @@ def _cmd_operator(doc, ns) -> dict:
         "closure_dim": int(opalg.dim),
         "expansion_residual": float(opalg.expansion_residual),
         "adjoint_defects": defects,
-        "isomorphism": {
-            "character_count": int(iso.character_count),
-            "algebra_dim": int(iso.algebra_dim),
-            "radical_dim": int(iso.radical_dim),
-            "conjugation_residual": float(iso.conjugation_residual),
-            "realness_residual": float(iso.realness_residual),
-            "passed": bool(iso.passed),
-        },
+        "isomorphism": isomorphism_payload(iso),
         "passed": bool(defects_ok and iso.passed),
     }
 

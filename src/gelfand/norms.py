@@ -11,7 +11,8 @@ submultiplicative with ‖e‖ = 1:
 
 Every character contracts: |phi(x)| <= ‖x‖.  ``verify_contraction`` spot
 checks that on seeded samples and ``homomorphism_norm`` estimates the
-operator norm of the transform, which must come out as 1.
+operator norm of the transform, which must come out as 1.  Both sample the
+ratio max_phi |phi(x)| / ‖x‖ through one helper and ``AlgebraNorm.of_many``.
 """
 
 from __future__ import annotations
@@ -47,11 +48,17 @@ class AlgebraNorm:
 
     def of(self, x) -> float:
         x = self.algebra.element(x)
+        return float(self.of_many(x[np.newaxis])[0])
+
+    def of_many(self, xs: np.ndarray) -> np.ndarray:
+        """Norms of the rows of a (count, dim) array, in one array expression."""
         if self.kind == NORM_REGULAR:
-            return float(np.linalg.norm(self.algebra.left_regular(x), 2))
+            # row s holds L_x transposed, which has the same spectral norm
+            stack = np.tensordot(xs, self.algebra.structure_constants, axes=(1, 0))
+            return np.linalg.norm(stack, 2, axis=(1, 2))
         if self.kind == NORM_SUP:
-            return float(np.max(np.abs(self.space.transform(x))))
-        return float(self.weights @ np.abs(x))
+            return np.max(np.abs(xs @ self.space.matrix().T), axis=1)
+        return np.abs(xs) @ self.weights
 
     def __repr__(self) -> str:
         return f"AlgebraNorm(kind={self.kind!r}, dim={self.algebra.dim})"
@@ -120,17 +127,16 @@ def suggest_l1_weights(algebra: Algebra) -> np.ndarray | None:
     i0 = int(support[0])
     w0 = 1.0 / float(np.abs(u[i0]))
     absc = np.abs(algebra.structure_constants)
-    rest = [i for i in range(algebra.dim) if i != i0]
-    lam = 1.0
-    for i in rest:
-        for j in rest:
-            lam = max(lam, float(np.sum(absc[i, j, rest]) + w0 * absc[i, j, i0]))
-    lam = max(lam, w0)
+    rest = np.arange(algebra.dim) != i0
+    block = absc[rest][:, rest]     # |c[i, j, :]| over pairs i, j != i0
+    rows = block[:, :, rest].sum(axis=2) + w0 * block[:, :, i0]
+    lam = max(1.0, w0, float(np.max(rows, initial=0.0)))
     w = np.full(algebra.dim, lam, dtype=np.float64)
     w[i0] = w0
-    # the puffing argument needs w0 <= lam; verify the certificate anyway
-    bound = np.tensordot(absc, w, axes=(2, 0))
-    if float((np.outer(w, w) - bound).min()) < 0:
+    # the puffing argument needs w0 <= lam; certify anyway
+    try:
+        weighted_l1_norm(algebra, w)
+    except InvalidNorm:
         return None
     return w
 
@@ -155,15 +161,7 @@ def verify_contraction(algebra: Algebra, norm: AlgebraNorm, space: CharacterSpac
     bound is a theorem for certified norms and characters.
     """
     rng = seeded_rng(seed, 2, NORM_KINDS.index(norm.kind))
-    xs = algebra.random_elements(samples, rng)
-    phi = space.matrix()
-    worst = 0.0
-    for x in xs:
-        nx = norm.of(x)
-        if nx <= 1e-12:
-            continue
-        ratio = float(np.max(np.abs(phi @ x))) / nx
-        worst = max(worst, ratio)
+    worst = _worst_ratio(norm, space, algebra.random_elements(samples, rng))
     passed = worst <= 1.0 + CONTRACTION_SLACK
     if not passed:
         raise ContractionViolated(
@@ -184,14 +182,16 @@ def homomorphism_norm(algebra: Algebra, norm: AlgebraNorm, space: CharacterSpace
     """
     rng = seeded_rng(seed, 3, NORM_KINDS.index(norm.kind))
     xs = algebra.random_elements(samples, rng)
-    phi = space.matrix()
-    best = 0.0
-    for x in xs:
-        nx = norm.of(x)
-        if nx <= 1e-12:
-            continue
-        best = max(best, float(np.max(np.abs(phi @ x))) / nx)
-    unit_norm = norm.of(algebra.unit)
-    if unit_norm > 1e-12:
-        best = max(best, float(np.max(np.abs(phi @ algebra.unit))) / unit_norm)
-    return best
+    return _worst_ratio(norm, space, np.vstack([xs, algebra.unit]))
+
+
+def _worst_ratio(norm: AlgebraNorm, space: CharacterSpace, xs: np.ndarray) -> float:
+    """Largest max_phi |phi(x)| / ‖x‖ over the rows of xs, skipping ‖x‖ <= 1e-12.
+
+    The numerator is the sup norm's own expression, so that norm's ratio is
+    exactly 1 on every row it keeps.
+    """
+    sizes = norm.of_many(xs)
+    keep = sizes > 1e-12
+    peaks = sup_norm(space.algebra, space).of_many(xs)
+    return float(np.max(peaks[keep] / sizes[keep], initial=0.0))

@@ -131,6 +131,15 @@ def _frob(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(np.conj(b) * a))
 
 
+def _expand(ops: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, float]:
+    """Coefficients of t in the Frobenius-orthonormal ops, and the norm left over.
+
+    Summed as :func:`_frob` sums; a BLAS product would move the residuals.
+    """
+    coeffs = np.sum(np.conj(ops) * t, axis=(1, 2))
+    return coeffs, float(np.linalg.norm(t - np.tensordot(coeffs, ops, axes=(0, 0))))
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorAlgebra:
     """A commutative star-closed span of matrices with its abstract shadow.
@@ -162,9 +171,7 @@ class OperatorAlgebra:
         Raises :class:`NotMember` when the matrix does not lie in the span.
         """
         t = _operator(self.space, t)
-        c = np.array([_frob(t, q) for q in self.basis_ops])
-        rebuilt = np.tensordot(c, self.basis_ops, axes=(0, 0))
-        leftover = float(np.linalg.norm(t - rebuilt))
+        c, leftover = _expand(self.basis_ops, t)
         if tol is None:
             tol = 1e-8 * (1.0 + float(np.linalg.norm(t)))
         if leftover > tol:
@@ -226,25 +233,20 @@ def generate_star_subalgebra(space: InnerProductSpace,
     for i in range(m):
         for j in range(i, m):
             prod = 0.5 * (ops[i] @ ops[j] + ops[j] @ ops[i])
-            coeff = np.array([_frob(prod, q) for q in basis])
-            gap = float(np.linalg.norm(
-                prod - np.tensordot(coeff, ops, axes=(0, 0))))
+            coeff, gap = _expand(ops, prod)
             worst = max(worst, gap)
             if gap > EXPANSION_TOL * (1.0 + float(np.linalg.norm(prod))):
                 raise PropertyViolated(
                     f"product of basis ops ({i}, {j}) does not re-expand in "
                     f"the closure (residual {gap:.3e})",
                     pair=[i, j], residual=gap)
-            c[i, j] = coeff
-            c[j, i] = coeff
-    unit_coords = np.array([_frob(identity, q) for q in basis])
-    embedded = validate(c, unit_coords)
+            c[i, j] = c[j, i] = coeff
+    embedded = validate(c, _expand(ops, identity)[0])
 
     s = np.zeros((m, m), dtype=np.complex128)
     for i in range(m):
         a = adjoint(space, ops[i])
-        s[:, i] = [_frob(a, q) for q in basis]
-        gap = float(np.linalg.norm(a - np.tensordot(s[:, i], ops, axes=(0, 0))))
+        s[:, i], gap = _expand(ops, a)
         worst = max(worst, gap)
         if gap > EXPANSION_TOL * (1.0 + float(np.linalg.norm(a))):
             raise PropertyViolated(

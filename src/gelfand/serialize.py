@@ -207,3 +207,15 @@ def contraction_payload(report, hom_norm: float) -> dict:
         "samples": int(report.samples),
         "seed": int(report.seed),
     }
+
+
+def isomorphism_payload(iso) -> dict:
+    """The report block for one Gelfand isomorphism check."""
+    return {
+        "character_count": int(iso.character_count),
+        "algebra_dim": int(iso.algebra_dim),
+        "radical_dim": int(iso.radical_dim),
+        "conjugation_residual": float(iso.conjugation_residual),
+        "realness_residual": float(iso.realness_residual),
+        "passed": bool(iso.passed),
+    }

@@ -32,7 +32,7 @@ from .operators import (
     generate_star_subalgebra,
     verify_gelfand_isomorphism,
 )
-from .serialize import contraction_payload
+from .serialize import contraction_payload, isomorphism_payload
 from .spectrum import (
     DEFAULT_SEED,
     NILP_BASE,
@@ -142,21 +142,19 @@ def norm_suite(algebra: Algebra, space: CharacterSpace,
     """
     norms = [operator_norm(algebra), sup_norm(algebra, space)]
     skipped = []
+    if weights is None:
+        weights = suggest_l1_weights(algebra)
     if weights is not None:
         norms.append(weighted_l1_norm(algebra, weights))
     else:
-        auto = suggest_l1_weights(algebra)
-        if auto is not None:
-            norms.append(weighted_l1_norm(algebra, auto))
-        else:
-            skipped.append("user-weighted-l1")
+        skipped.append("user-weighted-l1")
     reports = []
     ok = True
     for norm in norms:
         rep = verify_contraction(algebra, norm, space, samples=samples, seed=seed)
         hom = homomorphism_norm(algebra, norm, space, samples=samples, seed=seed)
         reports.append(contraction_payload(rep, hom))
-        ok = ok and rep.passed and abs(hom - 1.0) <= 1e-9
+        ok = ok and rep.passed and abs(hom - 1.0) <= CONTRACTION_SLACK
     return {"kinds": len(norms), "skipped": skipped, "reports": reports,
             "passed": bool(ok)}
 
@@ -243,14 +241,7 @@ def verify_operator_fixture(fixture_seed: int, seed: int = DEFAULT_SEED) -> dict
         "adjoint_defect": float(defect),
         "closure_dim": int(opalg.dim),
         "expansion_residual": float(opalg.expansion_residual),
-        "isomorphism": {
-            "character_count": int(iso.character_count),
-            "algebra_dim": int(iso.algebra_dim),
-            "radical_dim": int(iso.radical_dim),
-            "conjugation_residual": float(iso.conjugation_residual),
-            "realness_residual": float(iso.realness_residual),
-            "passed": bool(iso.passed),
-        },
+        "isomorphism": isomorphism_payload(iso),
         "passed": bool(ok),
     })
     return out

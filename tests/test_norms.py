@@ -19,6 +19,7 @@ from gelfand import (
     verify_contraction,
     weighted_l1_norm,
 )
+from gelfand.norms import CONTRACTION_SLACK
 from gelfand.spectrum import CharacterSpace, separation_threshold
 
 
@@ -165,8 +166,46 @@ def test_contraction_flags_unsound_norm():
     bogus = weighted_l1_norm(alg, [1.0, 1.0])
     object.__setattr__(bogus, "weights", np.array([0.25, 0.25]))
     with pytest.raises(ContractionViolated) as exc:
-        verify_contraction(alg, bogus, space, samples=100)
-    assert exc.value.details["worst_ratio"] > 1 + 1e-9
+        verify_contraction(alg, bogus, space, samples=100, seed=5)
+    details = exc.value.details
+    assert details["worst_ratio"] > 1 + 1e-9
+    assert details["kind"] == bogus.kind
+    assert details["samples"] == 100 and details["seed"] == 5
+
+
+def _reference_norm(n, x):
+    """The per-element definition of each norm kind."""
+    if n.kind == "regular-operator-norm":
+        return float(np.linalg.norm(n.algebra.left_regular(x), 2))
+    if n.kind == "sup-on-characters":
+        return float(np.max(np.abs(n.space.transform(x))))
+    return float(n.weights @ np.abs(x))
+
+
+@pytest.mark.parametrize("maker", [scaled_parity, lambda: polynomial_quotient([0, 0, 0])])
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_of_many_matches_of_row_by_row(maker, count):
+    alg = maker()
+    _, norms = norm_triple(alg)
+    xs = alg.random_elements(count, seeded_rng(13, count))
+    tol = 64 * np.finfo(np.float64).eps
+    for n in norms:
+        batch = n.of_many(xs)
+        assert batch.shape == (count,)
+        for x, value in zip(xs, batch):
+            assert value == pytest.approx(n.of(x), rel=tol, abs=tol)
+            assert value == pytest.approx(_reference_norm(n, x), rel=tol, abs=tol)
+
+
+def test_zero_samples():
+    # no samples: contraction has nothing to bound, and the witness e alone
+    # attains the homomorphism norm
+    alg = scaled_parity()
+    space, norms = norm_triple(alg)
+    for n in norms:
+        report = verify_contraction(alg, n, space, samples=0)
+        assert report.worst_ratio == 0.0 and report.passed
+        assert abs(homomorphism_norm(alg, n, space, samples=0) - 1.0) <= CONTRACTION_SLACK
 
 
 @pytest.mark.parametrize("maker", [parity_algebra, scaled_parity, dual_numbers])
