@@ -11,8 +11,9 @@ pure functions of immutable data.
 
 ``validate`` is the only way to build an :class:`Algebra`.  It checks the
 axioms (commutativity exactly after a bounded symmetrization, associativity
-and the unit law within scaled tolerances) and records the worst residuals
-found in a :class:`ValidationCertificate`.
+and the unit law within scaled tolerances), one basis index at a time in
+O(n³) memory, and records the worst residuals found in a
+:class:`ValidationCertificate`.
 """
 
 from __future__ import annotations
@@ -44,6 +45,24 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.complex128, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _worst_entry(slices) -> tuple[float, tuple[int, ...]]:
+    """Largest entry over a sequence of residual arrays, and where it is.
+
+    The index is the slice number followed by the position in that slice;
+    ties go to the first entry in C order.  The scan starts from -inf, so a
+    margin whose entries are all negative still reports its maximum.
+    ``slices`` may be a generator, so only one slice exists at a time.
+    """
+    worst, where = -np.inf, ()
+    for s, arr in enumerate(slices):
+        pos = int(np.argmax(arr))
+        value = float(arr.flat[pos])
+        if value > worst:
+            worst = value
+            where = (s, *(int(k) for k in np.unravel_index(pos, arr.shape)))
+    return worst, where
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,46 +195,42 @@ def validate(structure_constants, unit, basis_names=None) -> Algebra:
             raise ShapeMismatch(
                 f"expected {n} basis names, got {len(basis_names)}",
                 expected=n, got=len(basis_names))
-    if not np.all(np.isfinite(c.view(np.float64))) or not np.all(np.isfinite(u.view(np.float64))):
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(u))):
         raise ShapeMismatch("structure data contains non-finite entries")
 
     # commutativity: exact after bounded symmetrization
-    diff = np.abs(c - c.transpose(1, 0, 2))
-    asym = float(diff.max()) if n else 0.0
+    asym, (_, i, j, k) = _worst_entry((np.abs(c - c.transpose(1, 0, 2)),))
     if asym > SYMMETRY_TOL:
-        i, j, k = np.unravel_index(int(np.argmax(diff)), diff.shape)
         raise NotCommutative(
             f"c[{i}][{j}][{k}] and c[{j}][{i}][{k}] differ by {asym:.3e} "
             f"(limit {SYMMETRY_TOL:.0e})",
-            index=[int(i), int(j), int(k)], asymmetry=asym, limit=SYMMETRY_TOL)
+            index=[i, j, k], asymmetry=asym, limit=SYMMETRY_TOL)
     c = 0.5 * (c + c.transpose(1, 0, 2))
 
     scale = float(np.max(np.abs(c)))
     eps_assoc = ASSOC_BASE * (1.0 + scale) ** 3
 
-    # associativity: coords((b_i b_j) b_l) == coords(b_i (b_j b_l))
-    left = np.einsum("ijk,klm->ijlm", c, c)
-    right = np.einsum("jlk,ikm->ijlm", c, c)
-    adiff = np.abs(left - right)
-    assoc_res = float(adiff.max())
+    # associativity, one b_i at a time: entry [j, l, m] of slice i compares
+    # coords((b_i b_j) b_l) with coords(b_i (b_j b_l)); by commutativity the
+    # triple (l, j, i) compares the same two products, so report i <= l
+    assoc_res, (i, j, l, _) = _worst_entry(
+        np.abs(np.tensordot(c[s], c, axes=(1, 0)) - c @ c[s]) for s in range(n))
     if assoc_res > eps_assoc:
-        i, j, l, _ = np.unravel_index(int(np.argmax(adiff)), adiff.shape)
+        i, l = min(i, l), max(i, l)
         raise NotAssociative(
             f"(b{i}·b{j})·b{l} and b{i}·(b{j}·b{l}) differ by {assoc_res:.3e} "
             f"(tolerance {eps_assoc:.3e})",
-            triple=[int(i), int(j), int(l)], residual=assoc_res, tolerance=eps_assoc)
+            triple=[i, j, l], residual=assoc_res, tolerance=eps_assoc)
 
     # unit law: row j of sum_i u_i c[i, j, :] must be e_j
     if float(np.linalg.norm(u)) == 0.0:
         raise BadUnit("unit vector is zero")
     action = np.tensordot(u, c, axes=(0, 0))
-    udiff = np.abs(action - np.eye(n))
-    unit_res = float(udiff.max())
+    unit_res, (_, j, _) = _worst_entry((np.abs(action - np.eye(n)),))
     if unit_res > eps_assoc:
-        j, _ = np.unravel_index(int(np.argmax(udiff)), udiff.shape)
         raise BadUnit(
             f"unit acts on b{j} with residual {unit_res:.3e} (tolerance {eps_assoc:.3e})",
-            basis_index=int(j), residual=unit_res, tolerance=eps_assoc)
+            basis_index=j, residual=unit_res, tolerance=eps_assoc)
 
     cert = ValidationCertificate(asymmetry=asym, assoc_residual=assoc_res,
                                  unit_residual=unit_res)

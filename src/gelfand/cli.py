@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .errors import GelfandError, ParseError
-from .groups import FiniteAbelianGroup, abelian_characters, abelian_group_algebra, \
-    center_algebra, conjugacy_classes
+from .groups import FiniteAbelianGroup, abelian_characters, center_algebra, \
+    conjugacy_classes
 from .operators import adjoint, adjoint_defect, generate_star_subalgebra, \
     verify_gelfand_isomorphism
 from .serialize import (
@@ -204,9 +204,8 @@ def _cmd_operator(doc, ns) -> dict:
 def _cmd_group(doc, ns) -> dict:
     group = parse_group(doc)
     if isinstance(group, FiniteAbelianGroup):
-        algebra, _ = abelian_group_algebra(group)
         space = abelian_characters(group, seed=ns.seed)
-        rad = radical(algebra, space)
+        rad = radical(space.algebra, space)
         body = {
             "kind": "abelian",
             "order": int(group.order),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra
+from .algebra import Algebra, _worst_entry
 from .errors import ContractionViolated, InvalidNorm
 from .spectrum import DEFAULT_SEED, CharacterSpace, seeded_rng
 
@@ -95,13 +95,12 @@ def weighted_l1_norm(algebra: Algebra, weights) -> AlgebraNorm:
                           weights=w.tolist())
     absc = np.abs(algebra.structure_constants)
     bound = np.tensordot(absc, w, axes=(2, 0))   # sum_k |c[i,j,k]| w_k
-    margin = np.outer(w, w) - bound
-    if float(margin.min()) < 0:
-        i, j = np.unravel_index(int(np.argmin(margin)), margin.shape)
+    deficit, (_, i, j) = _worst_entry((bound - np.outer(w, w),))
+    if deficit > 0:
         raise InvalidNorm(
             f"certificate fails on basis pair ({i}, {j}): "
             f"w_i w_j = {w[i] * w[j]:.6g} < {bound[i, j]:.6g}",
-            pair=[int(i), int(j)], lhs=float(w[i] * w[j]), rhs=float(bound[i, j]))
+            pair=[i, j], lhs=float(w[i] * w[j]), rhs=float(bound[i, j]))
     unit_norm = float(w @ np.abs(algebra.unit))
     if abs(unit_norm - 1.0) > UNIT_NORM_TOL:
         raise InvalidNorm(

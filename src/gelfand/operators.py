@@ -79,7 +79,7 @@ def inner_product_space(gram) -> InnerProductSpace:
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
         raise ShapeMismatch(f"Gram matrix must be square, got {g.shape}",
                             got=list(g.shape))
-    if not np.all(np.isfinite(g.view(np.float64))):
+    if not np.all(np.isfinite(g)):
         raise PropertyViolated("Gram matrix has non-finite entries")
     scale = float(np.max(np.abs(g)))
     gap = float(np.max(np.abs(g - g.conj().T)))

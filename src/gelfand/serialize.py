@@ -76,10 +76,6 @@ def vector_payload(v) -> list:
     return [complex_pair(z) for z in np.asarray(v).ravel()]
 
 
-def matrix_payload(m) -> list:
-    return [vector_payload(row) for row in np.asarray(m)]
-
-
 def _mapping(doc, where: str) -> dict:
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected a JSON object", where=where)

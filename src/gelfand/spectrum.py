@@ -253,14 +253,6 @@ class RadicalSubspace:
     def __repr__(self) -> str:
         return f"RadicalSubspace(dim={self.dim} of {self.algebra.dim})"
 
-    def contains(self, x, tol: float | None = None) -> bool:
-        """Membership of x in the span of the radical basis."""
-        x = self.algebra.element(x)
-        resid = x - self.basis @ (self.basis.conj().T @ x)
-        if tol is None:
-            tol = 1e-8 * (1.0 + float(np.linalg.norm(x)))
-        return float(np.linalg.norm(resid)) <= tol
-
 
 def radical(algebra: Algebra, space: CharacterSpace) -> RadicalSubspace:
     """Null space of the character matrix, certified nilpotent columnwise.

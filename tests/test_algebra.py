@@ -1,5 +1,7 @@
 """Structure-constant validation and arithmetic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,8 @@ from gelfand import (
     polynomial_quotient,
     validate,
 )
+from gelfand.algebra import _worst_entry
+from gelfand.corpus import random_algebra
 
 from oracles import naive_multiply, naive_power
 
@@ -71,12 +75,106 @@ def test_validate_rejects_nonassociative_tensor():
         validate(c, [1, 0, 0])
 
 
+def test_worst_entry_scans_in_c_order_from_minus_infinity():
+    # ties go to the first entry in C order across slices; a margin whose
+    # entries are all negative still reports its maximum
+    slices = (np.array([[-3.0, -2.0], [-2.0, -5.0]]),
+              np.array([[-4.0, -2.0], [-1.0, -1.0]]))
+    assert _worst_entry(slices) == (-1.0, (1, 1, 0))
+    assert _worst_entry(s - 10.0 for s in slices[:1]) == (-12.0, (0, 0, 1))
+    assert _worst_entry(np.zeros((2, 3)) for _ in range(3)) == (0.0, (0, 0, 0))
+
+
+def test_nonassociative_witness_matches_brute_force():
+    # b0 is the unit, so every triple involving it is associative and the
+    # worst triple has i > 0; small integer constants keep every residual
+    # exact, so the library and the brute force see the same ties
+    n = 5
+    rng = np.random.default_rng(23)
+    c = np.zeros((n, n, n), dtype=complex)
+    for j in range(n):
+        c[0, j, j] = c[j, 0, j] = 1.0
+    for i in range(1, n):
+        for j in range(i, n):
+            c[i, j] = c[j, i] = rng.integers(-3, 4, n)
+    basis = np.eye(n)
+    worst, triple = -1.0, None
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                lhs = naive_multiply(c, naive_multiply(c, basis[i], basis[j]), basis[l])
+                rhs = naive_multiply(c, basis[i], naive_multiply(c, basis[j], basis[l]))
+                res = float(np.max(np.abs(lhs - rhs)))
+                if res > worst:
+                    worst, triple = res, [i, j, l]
+    assert triple[0] > 0
+    with pytest.raises(NotAssociative) as exc:
+        validate(c, basis[0])
+    assert exc.value.details["triple"] == triple
+    assert exc.value.details["residual"] == worst
+
+
+def test_nonassociative_witness_orders_its_twin_triples():
+    # (b_l b_j) b_i and b_l (b_j b_i) are the two products of triple
+    # (i, j, l) in the other order, so rounding may make either twin the
+    # worst; the witness is reported with i <= l
+    rng = np.random.default_rng(31)
+    for seed in range(40):
+        alg = random_algebra(seed, max_dim=7).algebra
+        c = np.array(alg.structure_constants)
+        i, j, k = rng.integers(0, alg.dim, 3)
+        c[i, j, k] += 1e-3
+        c[j, i, k] = c[i, j, k]
+        with pytest.raises(NotAssociative) as exc:
+            validate(c, alg.unit)
+        first, _, last = exc.value.details["triple"]
+        assert first <= last
+
+
+def test_validate_peak_memory_is_cubic():
+    # Z_40 on delta functions; the residual slices keep the traced peak
+    # below ten complex n^3 tensors, where two n^4 tensors would not fit
+    n = 40
+    c = np.zeros((n, n, n), dtype=complex)
+    idx = np.arange(n)
+    c[idx[:, None], idx[None, :], (idx[:, None] + idx[None, :]) % n] = 1.0
+    unit = np.eye(n)[0]
+    tracemalloc.start()
+    try:
+        alg = validate(c, unit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alg.certificate.assoc_residual == 0.0
+    assert peak < 10 * n**3 * 16
+
+
+def test_validate_accepts_fortran_ordered_input():
+    alg = parity_algebra()
+    c = np.asfortranarray(alg.structure_constants)
+    again = validate(c, np.asfortranarray(alg.unit))
+    assert np.array_equal(again.structure_constants, alg.structure_constants)
+    with pytest.raises(ShapeMismatch):
+        c = np.asfortranarray(np.zeros((2, 2, 2)))
+        c[1, 0, 1] = np.inf
+        validate(c, [1, 0])
+
+
 def test_validate_rejects_wrong_unit():
     c = parity_algebra().structure_constants
     with pytest.raises(BadUnit):
         validate(c, [0, 1])
     with pytest.raises(BadUnit):
         validate(c, [0, 0])
+
+
+def test_bad_unit_names_the_worst_basis_index():
+    # on the dual numbers, u = 1 + 1e-3 t sends b0 to 1 + 1e-3 t and fixes t
+    c = dual_numbers().structure_constants
+    with pytest.raises(BadUnit) as exc:
+        validate(c, [1.0, 1e-3])
+    assert exc.value.details["basis_index"] == 0
+    assert exc.value.details["residual"] == 1e-3
 
 
 def test_validate_rejects_bad_shapes():

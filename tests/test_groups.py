@@ -195,6 +195,9 @@ def test_finite_group_rejects_nonassociative_loop():
     with pytest.raises(InvalidGroup) as exc:
         finite_group(loop)
     assert exc.value.details["law"] == "associative"
+    first = next([a, b, c] for a in range(5) for b in range(5) for c in range(5)
+                 if loop[loop[a][b]][c] != loop[a][loop[b][c]])
+    assert exc.value.details["triple"] == first
 
 
 def test_builtin_groups_validate():

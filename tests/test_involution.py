@@ -24,6 +24,8 @@ from gelfand.involution import (
 )
 from gelfand.spectrum import Character
 
+from oracles import naive_multiply
+
 
 def gaussian_algebra():
     """C[t]/(t^2 + 1), a copy of C x C where t plays the imaginary unit."""
@@ -68,6 +70,14 @@ def test_rejects_wrong_shape():
         involution(dual_numbers(), np.eye(3))
 
 
+def test_accepts_fortran_ordered_action():
+    alg = gaussian_algebra()
+    inv = involution(alg, np.asfortranarray(np.diag([1.0, -1.0])))
+    assert_allclose(inv.action, np.diag([1.0, -1.0]))
+    with pytest.raises(PropertyViolated):
+        involution(alg, np.asfortranarray([[1.0, np.nan], [0.0, 1.0]]))
+
+
 def test_rejects_non_involutive_action():
     with pytest.raises(PropertyViolated) as exc:
         involution(dual_numbers(), np.diag([1.0, 2.0]))
@@ -81,6 +91,36 @@ def test_rejects_non_multiplicative_action():
         involution(polynomial_quotient([-1.0, 0.0]), np.diag([1.0, 1.0j]))
     assert exc.value.details["law"] == "multiplicative"
     assert exc.value.details["pair"] == [1, 1]
+
+
+@pytest.mark.parametrize("coeffs, swap", [
+    ([0.3 - 1j, 0.5, 2.0, -0.25j], (2, 3)),
+    ([1.0, 0.0, -0.5, 0.25j], (1, 2)),
+    ([1.0, 0.0, -0.5, 0.25j], (1, 3)),
+])
+def test_multiplicative_witness_matches_naive_pairs(coeffs, swap):
+    # swapping two basis vectors is involutive but breaks products here
+    alg = polynomial_quotient(coeffs)
+    n = alg.dim
+    perm = list(range(n))
+    perm[swap[0]], perm[swap[1]] = swap[1], swap[0]
+    s = np.eye(n)[:, perm]
+    c = alg.structure_constants
+    naive = {}
+    for i in range(n):
+        for j in range(i, n):
+            lhs = s @ np.conj(c[i, j])
+            rhs = naive_multiply(c, s[:, i], s[:, j])
+            naive[(i, j)] = float(np.max(np.abs(lhs - rhs)))
+    with pytest.raises(PropertyViolated) as exc:
+        involution(alg, s)
+    details = exc.value.details
+    assert details["law"] == "multiplicative"
+    i, j = details["pair"]
+    assert i <= j
+    worst = max(naive.values())
+    assert abs(details["residual"] - worst) <= 1e-12
+    assert abs(naive[(i, j)] - worst) <= 1e-12
 
 
 def test_star_involutive_on_seeded_elements():

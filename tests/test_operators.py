@@ -57,6 +57,13 @@ def test_gram_validation_rejects_bad_matrices():
         inner_product_space(np.diag([1.0, 1e-12]))
 
 
+def test_gram_validation_accepts_fortran_order():
+    gram = np.asfortranarray([[2.0, 0.5j], [-0.5j, 1.0]])
+    assert_allclose(inner_product_space(gram).gram, gram)
+    with pytest.raises(PropertyViolated):
+        inner_product_space(np.asfortranarray([[1.0, np.inf], [0.0, 1.0]]))
+
+
 def test_adjoint_euclidean_is_conjugate_transpose():
     space = euclidean(2)
     t = np.array([[0.0, 1.0], [0.0, 0.0]])
