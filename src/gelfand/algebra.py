@@ -13,7 +13,10 @@ pure functions of immutable data.
 axioms (commutativity exactly after a bounded symmetrization, associativity
 and the unit law within scaled tolerances), one basis index at a time in
 O(n³) memory, and records the worst residuals found in a
-:class:`ValidationCertificate`.
+:class:`ValidationCertificate`.  Associativity is scanned over triples
+(i, j, l) with i <= l only: by commutativity the residual of (l, j, i) is
+the negative of that of (i, j, l).  A tensor with no imaginary part is
+scanned in real arithmetic.
 """
 
 from __future__ import annotations
@@ -210,13 +213,18 @@ def validate(structure_constants, unit, basis_names=None) -> Algebra:
     scale = float(np.max(np.abs(c)))
     eps_assoc = ASSOC_BASE * (1.0 + scale) ** 3
 
-    # associativity, one b_i at a time: entry [j, l, m] of slice i compares
-    # coords((b_i b_j) b_l) with coords(b_i (b_j b_l)); by commutativity the
-    # triple (l, j, i) compares the same two products, so report i <= l
+    # associativity, one b_i at a time: entry [j, l - i, m] of slice i
+    # compares coords((b_i b_j) b_l) with coords(b_i (b_j b_l)).  By
+    # commutativity the triple (l, j, i) compares the same two products in
+    # the other order, R[l, j, i] = -R[i, j, l], so slice i scans l >= i
+    # only and the witness has i <= l.  A real tensor is scanned in real
+    # arithmetic.
+    w = c if np.any(c.imag) else np.ascontiguousarray(c.real)
     assoc_res, (i, j, l, _) = _worst_entry(
-        np.abs(np.tensordot(c[s], c, axes=(1, 0)) - c @ c[s]) for s in range(n))
+        np.abs(np.tensordot(w[s], w[:, s:], axes=(1, 0)) - w[:, s:] @ w[s])
+        for s in range(n))
     if assoc_res > eps_assoc:
-        i, l = min(i, l), max(i, l)
+        l += i
         raise NotAssociative(
             f"(b{i}·b{j})·b{l} and b{i}·(b{j}·b{l}) differ by {assoc_res:.3e} "
             f"(tolerance {eps_assoc:.3e})",

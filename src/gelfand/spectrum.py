@@ -84,15 +84,16 @@ class CharacterSpace:
             raise PropertyViolated(
                 f"{m} characters on a {self.algebra.dim}-dimensional algebra",
                 count=m, dim=self.algebra.dim)
+        values = self.matrix()
         for a in range(m):
-            for b in range(a + 1, m):
-                gap = float(np.max(np.abs(self.characters[a].values
-                                          - self.characters[b].values)))
-                if gap < self.delta_sep:
-                    raise PropertyViolated(
-                        f"characters {a} and {b} are only {gap:.3e} apart "
-                        f"(separation threshold {self.delta_sep:.3e})",
-                        pair=[a, b], distance=gap, delta_sep=self.delta_sep)
+            gaps = np.max(np.abs(values[a] - values[a + 1:]), axis=1)
+            close = np.flatnonzero(gaps < self.delta_sep)
+            if close.size:
+                b, gap = a + 1 + int(close[0]), float(gaps[close[0]])
+                raise PropertyViolated(
+                    f"characters {a} and {b} are only {gap:.3e} apart "
+                    f"(separation threshold {self.delta_sep:.3e})",
+                    pair=[a, b], distance=gap, delta_sep=self.delta_sep)
 
     def __len__(self) -> int:
         return len(self.characters)
@@ -204,7 +205,8 @@ def characters(algebra: Algebra, seed: int = DEFAULT_SEED,
         if not worst <= eps:
             worst_residual = max(worst_residual, worst)
             continue
-        order = sorted(range(len(found)), key=lambda a: _sort_key(found[a], found))
+        quantum = 1e-9 * (1.0 + max(float(np.max(np.abs(v))) for v in found))
+        order = sorted(range(len(found)), key=lambda a: _sort_key(found[a], quantum))
         chars = tuple(Character(values=_freeze(found[a]), residual=residuals[a])
                       for a in order)
         return CharacterSpace(algebra=algebra, characters=chars,
@@ -219,14 +221,14 @@ def characters(algebra: Algebra, seed: int = DEFAULT_SEED,
         worst_residual=worst_residual, eps_char=eps)
 
 
-def _sort_key(v: np.ndarray, population) -> tuple:
+def _sort_key(v: np.ndarray, quantum: float) -> tuple:
     """Lexicographic key over interleaved (Re, Im), quantized.
 
-    Distinct characters are at least delta_sep apart, so snapping to a
-    1e-9-scaled grid keeps the order stable against roundoff-level noise
-    in coordinates that are morally equal.
+    Distinct characters are at least delta_sep apart, so snapping to a grid
+    of 1e-9 * (1 + max|v|) over the whole candidate set, computed once by
+    the caller, keeps the order stable against roundoff-level noise in
+    coordinates that are morally equal.
     """
-    quantum = 1e-9 * (1.0 + max(float(np.max(np.abs(w))) for w in population))
     flat = np.column_stack([v.real, v.imag]).ravel()
     return tuple(int(round(x / quantum)) for x in flat)
 

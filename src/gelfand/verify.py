@@ -170,13 +170,13 @@ def involution_suite(inv, space: CharacterSpace,
         gap = float(np.max(np.abs(back - x)))
         worst_round = max(worst_round, gap / (1.0 + float(np.max(np.abs(x)))))
     thresh = separation_threshold([ch.values for ch in space])
+    values = space.matrix()
     closed = True
     fixed = 0
     for phi in space:
         psi, equal = conjugate_character(inv, phi)
         fixed += equal
-        best = min(float(np.max(np.abs(psi.values - ch.values)))
-                   for ch in space)
+        best = float(np.min(np.max(np.abs(psi.values - values), axis=1)))
         closed = closed and best <= thresh
     span = radical_selfadjoint_span_check(inv, space)
     ok = worst_round <= 1e-12 and closed and span.passed

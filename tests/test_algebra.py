@@ -85,18 +85,9 @@ def test_worst_entry_scans_in_c_order_from_minus_infinity():
     assert _worst_entry(np.zeros((2, 3)) for _ in range(3)) == (0.0, (0, 0, 0))
 
 
-def test_nonassociative_witness_matches_brute_force():
-    # b0 is the unit, so every triple involving it is associative and the
-    # worst triple has i > 0; small integer constants keep every residual
-    # exact, so the library and the brute force see the same ties
-    n = 5
-    rng = np.random.default_rng(23)
-    c = np.zeros((n, n, n), dtype=complex)
-    for j in range(n):
-        c[0, j, j] = c[j, 0, j] = 1.0
-    for i in range(1, n):
-        for j in range(i, n):
-            c[i, j] = c[j, i] = rng.integers(-3, 4, n)
+def brute_force_witness(c):
+    """Worst associativity triple, first in C order, and its residual."""
+    n = c.shape[0]
     basis = np.eye(n)
     worst, triple = -1.0, None
     for i in range(n):
@@ -107,9 +98,45 @@ def test_nonassociative_witness_matches_brute_force():
                 res = float(np.max(np.abs(lhs - rhs)))
                 if res > worst:
                     worst, triple = res, [i, j, l]
-    assert triple[0] > 0
+    return triple, worst
+
+
+def test_nonassociative_witness_matches_brute_force():
+    # b0 is the unit, so every triple involving it is associative and the
+    # worst triple has i > 0; small integer constants (Gaussian integers in
+    # the complex case) keep every residual exact, so the library and the
+    # brute force see the same ties
+    n = 5
+    rng = np.random.default_rng(23)
+    for gaussian in (False, True):
+        c = np.zeros((n, n, n), dtype=complex)
+        for j in range(n):
+            c[0, j, j] = c[j, 0, j] = 1.0
+        for i in range(1, n):
+            for j in range(i, n):
+                c[i, j] = c[j, i] = rng.integers(-3, 4, n)
+                if gaussian:
+                    c[i, j] = c[j, i] = c[i, j] + 1j * rng.integers(-3, 4, n)
+        triple, worst = brute_force_witness(c)
+        assert triple[0] > 0
+        with pytest.raises(NotAssociative) as exc:
+            validate(c, np.eye(n)[0])
+        assert exc.value.details["triple"] == triple
+        assert exc.value.details["residual"] == worst
+
+
+def test_imaginary_associativity_defect_is_caught():
+    # Z_5 is real and associative; a purely imaginary change to one product
+    # is the only defect, so a scan that dropped the imaginary part of the
+    # tensor would accept it
+    n = 5
+    idx = np.arange(n)
+    c = np.zeros((n, n, n), dtype=complex)
+    c[idx[:, None], idx[None, :], (idx[:, None] + idx[None, :]) % n] = 1.0
+    c[1, 2, 4] = c[2, 1, 4] = 1.0j
+    triple, worst = brute_force_witness(c)
     with pytest.raises(NotAssociative) as exc:
-        validate(c, basis[0])
+        validate(c, np.eye(n)[0])
     assert exc.value.details["triple"] == triple
     assert exc.value.details["residual"] == worst
 

@@ -418,3 +418,20 @@ def test_interpolate_rejects_dependent_characters():
                            characters=tuple(Character(values=v, residual=0.0) for v in rows))
     with pytest.raises(PropertyViolated):
         interpolate(alg, space, [1, 2, 4])
+
+
+def test_separation_check_names_the_first_close_pair():
+    # pairs (0, 3) and (1, 2) are both closer than delta_sep; the check
+    # reports the first in (a, b) loop order, with the loop's distance
+    alg = polynomial_quotient([0, 0, 0, 0])
+    rows = [np.array(v, dtype=complex) for v in
+            ([1, 0, 0, 0], [0, 1, 0, 0], [0, 1 + 2e-7, 0, 0], [1 + 1e-7j, 0, 0, 0])]
+    first = next((a, b) for a in range(4) for b in range(a + 1, 4)
+                 if float(np.max(np.abs(rows[a] - rows[b]))) < 1e-6)
+    with pytest.raises(PropertyViolated) as exc:
+        CharacterSpace(algebra=alg, seed=0, delta_sep=1e-6,
+                       characters=tuple(Character(values=v, residual=0.0) for v in rows))
+    a, b = exc.value.details["pair"]
+    assert [a, b] == [0, 3] == list(first)
+    assert exc.value.details["distance"] == float(np.max(np.abs(rows[a] - rows[b])))
+    assert exc.value.details["delta_sep"] == 1e-6
