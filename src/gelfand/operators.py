@@ -126,18 +126,17 @@ def _operator(space: InnerProductSpace, t) -> np.ndarray:
     return t
 
 
-def _frob(a: np.ndarray, b: np.ndarray) -> complex:
-    """Frobenius pairing ⟨a, b⟩ = trace(bᴴ a)."""
-    return complex(np.sum(np.conj(b) * a))
+def _project_out(ops: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frobenius pairings trace(opsᴴ t) with the stacked ops, and t minus its
+    projection onto their span when they are orthonormal."""
+    coeffs = np.sum(np.conj(ops) * t, axis=(1, 2))
+    return coeffs, t - np.tensordot(coeffs, ops, axes=(0, 0))
 
 
 def _expand(ops: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, float]:
-    """Coefficients of t in the Frobenius-orthonormal ops, and the norm left over.
-
-    Summed as :func:`_frob` sums; a BLAS product would move the residuals.
-    """
-    coeffs = np.sum(np.conj(ops) * t, axis=(1, 2))
-    return coeffs, float(np.linalg.norm(t - np.tensordot(coeffs, ops, axes=(0, 0))))
+    """Coefficients of t in the Frobenius-orthonormal ops, and the norm left over."""
+    coeffs, rest = _project_out(ops, t)
+    return coeffs, float(np.linalg.norm(rest))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +194,12 @@ def generate_star_subalgebra(space: InnerProductSpace,
     makes the whole closure commutative.  The closure runs Gram-Schmidt
     over vectorized matrices, seeding with the identity so the abstract
     unit lands on basis index 0; each accepted direction enqueues its
-    adjoint and its products with the basis found so far.
+    adjoint and its products with the basis found so far.  The accepted
+    basis is one stacked array, and each candidate is orthogonalized
+    against all of it at once, twice over (classical Gram-Schmidt with one
+    reorthogonalization pass).  The stack starts with room for d matrices,
+    the most a commutative star-closed algebra on C^d spans, and doubles
+    when full, up to the d² that all d x d matrices span.
     """
     d = space.dim
     gens = tuple(_readonly(_operator(space, g)) for g in generators)
@@ -203,31 +207,32 @@ def generate_star_subalgebra(space: InnerProductSpace,
     _check_commuting(gens, adjs)
 
     identity = np.eye(d, dtype=np.complex128)
-    basis: list[np.ndarray] = [identity / np.sqrt(d)]
+    limit = d * d
+    basis = np.empty((d, d, d), dtype=np.complex128)
+    basis[0] = identity / np.sqrt(d)
+    m = 1
     queue: list[np.ndarray] = list(gens) + adjs
     scale = max([1.0] + [float(np.linalg.norm(g)) for g in gens])
-    limit = d * d
     while queue:
         cand = queue.pop(0)
         scale = max(scale, float(np.linalg.norm(cand)))
-        resid = cand.copy()
-        for _ in range(2):  # one reorthogonalization pass keeps drift down
-            for q in basis:
-                resid = resid - _frob(resid, q) * q
+        _, resid = _project_out(basis[:m], cand)
+        _, resid = _project_out(basis[:m], resid)
         size = float(np.linalg.norm(resid))
         if size <= CLOSURE_TOL * (1.0 + scale):
             continue
-        q = resid / size
-        basis.append(q)
-        if len(basis) > limit:
+        if m == limit:
             raise ClosureOverflow(
                 f"closure exceeded {limit} dimensions on a {d}x{d} space",
                 limit=limit)
+        if m == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis[:limit - m])])
+        q = basis[m] = resid / size
+        m += 1
         queue.append(adjoint(space, q))
-        queue.extend(0.5 * (q @ b + b @ q) for b in basis)
+        queue.extend(0.5 * (q @ b + b @ q) for b in basis[:m])
 
-    m = len(basis)
-    ops = np.array(basis)
+    ops = basis[:m]
     c = np.zeros((m, m, m), dtype=np.complex128)
     worst = 0.0
     for i in range(m):
@@ -358,17 +363,11 @@ def verify_gelfand_isomorphism(opalg: OperatorAlgebra,
             clause="count", characters=len(space), dim=embedded.dim)
     tol = embedded.eps_char
     s = opalg.star.action
-    conj_worst = 0.0
-    real_worst = 0.0
-    for phi in space:
-        star_values = s.T @ phi.values      # phi(adjoint(q_i)) for each i
-        conj_worst = max(conj_worst, float(np.max(np.abs(
-            star_values - np.conj(phi.values)))))
-    for i in range(embedded.dim):
-        fixed = float(np.max(np.abs(s[:, i] - np.eye(embedded.dim)[:, i])))
-        if fixed <= tol:    # basis op i is self-adjoint
-            for phi in space:
-                real_worst = max(real_worst, abs(phi.values[i].imag))
+    values = space.matrix().T       # column k holds character k on each basis op
+    # row i of Sᵀ V holds phi(adjoint(q_i)) for every character phi
+    conj_worst = float(np.max(np.abs(s.T @ values - np.conj(values))))
+    self_adjoint = np.max(np.abs(s - np.eye(embedded.dim)), axis=0) <= tol
+    real_worst = float(np.max(np.abs(values[self_adjoint].imag), initial=0.0))
     if conj_worst > tol:
         raise PropertyViolated(
             f"adjoint does not transform to conjugation "

@@ -7,6 +7,9 @@ from numpy.testing import assert_allclose
 from gelfand import (
     ContractionViolated,
     InvalidNorm,
+    abelian_group,
+    abelian_group_algebra,
+    center_algebra,
     characters,
     dual_numbers,
     homomorphism_norm,
@@ -15,6 +18,7 @@ from gelfand import (
     seeded_rng,
     suggest_l1_weights,
     sup_norm,
+    symmetric_group_3,
     validate,
     verify_contraction,
     weighted_l1_norm,
@@ -30,6 +34,43 @@ def parity_algebra():
 def scaled_parity():
     """C[t]/(t^2 - 4), where the suggested weights are not all ones."""
     return polynomial_quotient([-4.0, 0.0])
+
+
+def cyclic(n):
+    return abelian_group_algebra(abelian_group([n]))[0]
+
+
+def rebased(alg, q):
+    """The same algebra in the basis b'_a = sum_i q[i, a] b_i."""
+    q_inv = np.linalg.inv(q)
+    c = np.einsum("ia,jb,ijk,ck->abc", q, q, alg.structure_constants, q_inv)
+    return validate(c, q_inv @ alg.unit)
+
+
+def z8_permuted():
+    return rebased(cyclic(8), np.eye(8)[seeded_rng(17).permutation(8)])
+
+
+def z8_unitary():
+    rng = seeded_rng(19)
+    q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    return rebased(cyclic(8), q)
+
+
+def z16_scaled():
+    """Z16 with one basis element scaled by 1 + 1e-6: the regular matrices
+    are no longer normal, and the eigenbasis would be off by about 1e-6."""
+    scale = np.ones(16)
+    scale[1] += 1e-6
+    return rebased(cyclic(16), np.diag(scale))
+
+
+def s3_center():
+    return center_algebra(symmetric_group_3())[0]
+
+
+def z48():
+    return cyclic(48)
 
 
 def norm_triple(alg):
@@ -182,11 +223,15 @@ def _reference_norm(n, x):
     return float(n.weights @ np.abs(x))
 
 
-@pytest.mark.parametrize("maker", [scaled_parity, lambda: polynomial_quotient([0, 0, 0])])
+@pytest.mark.parametrize("maker", [scaled_parity, lambda: polynomial_quotient([0, 0, 0]),
+                                   z8_permuted, z8_unitary])
 @pytest.mark.parametrize("count", [0, 1, 7])
 def test_of_many_matches_of_row_by_row(maker, count):
     alg = maker()
-    _, norms = norm_triple(alg)
+    norms = [operator_norm(alg), sup_norm(alg, characters(alg))]
+    weights = suggest_l1_weights(alg)   # None when the unit has mixed support
+    if weights is not None:
+        norms.append(weighted_l1_norm(alg, weights))
     xs = alg.random_elements(count, seeded_rng(13, count))
     tol = 64 * np.finfo(np.float64).eps
     for n in norms:
@@ -195,6 +240,21 @@ def test_of_many_matches_of_row_by_row(maker, count):
         for x, value in zip(xs, batch):
             assert value == pytest.approx(n.of(x), rel=tol, abs=tol)
             assert value == pytest.approx(_reference_norm(n, x), rel=tol, abs=tol)
+
+
+@pytest.mark.parametrize("maker, eigenbasis", [
+    (z8_permuted, True), (z8_unitary, True),
+    (s3_center, False), (dual_numbers, False), (scaled_parity, False), (z16_scaled, False)])
+def test_regular_norm_path(maker, eigenbasis):
+    # normal regular matrices are read off the certified eigenbasis; class-sum
+    # centers, nilpotents and non-normal bases fall back to one SVD per element
+    alg = maker()
+    n = operator_norm(alg)
+    xs = alg.random_elements(20, seeded_rng(23))
+    tol = 64 * np.finfo(np.float64).eps
+    for x, value in zip(xs, n.of_many(xs)):
+        assert value == pytest.approx(_reference_norm(n, x), rel=tol, abs=tol)
+    assert (n.joint_eigenvalues is not None) == eigenbasis
 
 
 def test_zero_samples():
@@ -208,7 +268,7 @@ def test_zero_samples():
         assert abs(homomorphism_norm(alg, n, space, samples=0) - 1.0) <= CONTRACTION_SLACK
 
 
-@pytest.mark.parametrize("maker", [parity_algebra, scaled_parity, dual_numbers])
+@pytest.mark.parametrize("maker", [parity_algebra, scaled_parity, dual_numbers, z48])
 def test_homomorphism_norm_is_one(maker):
     alg = maker()
     space, norms = norm_triple(alg)

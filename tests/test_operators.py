@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gelfand import NotCommutative, NotMember, PropertyViolated, ShapeMismatch, seeded_rng
+from gelfand import (
+    NotAssociative,
+    NotCommutative,
+    NotMember,
+    PropertyViolated,
+    ShapeMismatch,
+    characters,
+    seeded_rng,
+)
 from gelfand.errors import SelfAdjointnessViolated
 from gelfand.operators import (
     adjoint,
@@ -42,6 +50,22 @@ def normal_fixture(d, rng):
     w = (vecs * np.sqrt(evals)) @ vecs.conj().T
     t = np.linalg.solve(w, (u * eigs) @ u.conj().T) @ w
     return space, t, eigs
+
+
+def commuting_pair_fixture(d, rng):
+    """(space, [S, T]): commuting G-normal matrices sharing one eigenbasis.
+
+    S repeats each of d/2 eigenvalues twice and T splits every such pair,
+    so only the two together generate the d-dimensional closure.
+    """
+    space = inner_product_space(random_gram(d, rng))
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    u, _ = np.linalg.qr(z)
+    evals, vecs = np.linalg.eigh(space.gram)
+    w = (vecs * np.sqrt(evals)) @ vecs.conj().T
+    half = np.arange(d // 2) + 1.0
+    eigs = [np.repeat(half, 2), np.ravel(np.column_stack([half, -half])) * (1 + 1j)]
+    return space, [np.linalg.solve(w, (u * e) @ u.conj().T) @ w for e in eigs]
 
 
 def test_gram_validation_rejects_bad_matrices():
@@ -136,8 +160,6 @@ def test_diagonal_generator_closure():
 
 
 def _transform_values(opalg, t):
-    from gelfand import characters
-
     space = characters(opalg.algebra)
     return space.transform(opalg.coords(t))
 
@@ -146,6 +168,15 @@ def test_noncommuting_generator_rejected():
     with pytest.raises(NotCommutative) as exc:
         generate_star_subalgebra(euclidean(2), [np.array([[0.0, 1.0], [0.0, 0.0]])])
     assert "adjoint" in " ".join(exc.value.details["pair"])
+
+
+def test_nearly_commuting_generators_fail_loudly():
+    # the commutator 8e-9 passes the commutation check, yet the closure
+    # outgrows d = 2 directions and spans all 2x2 matrices, whose symmetrized
+    # product is not associative
+    t = np.diag([3.0, 4.0]) + 8e-9 * np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(NotAssociative):
+        generate_star_subalgebra(euclidean(2), [np.diag([1.0, 2.0]), t])
 
 
 def test_coords_roundtrip_and_membership():
@@ -197,6 +228,29 @@ def test_normal_generator_characters_are_eigenvalues():
         assert_allclose(got, want, rtol=0, atol=1e-7 * (1 + np.max(np.abs(want))))
 
 
+def test_isomorphism_residuals_match_per_character_loop():
+    rng = seeded_rng(67)
+    space, t, _ = normal_fixture(4, rng)
+    opalg = generate_star_subalgebra(space, [t])
+    report = verify_gelfand_isomorphism(opalg)
+    chars = characters(opalg.algebra)
+    s, n = opalg.star.action, opalg.dim
+    conj = max(float(np.max(np.abs(s.T @ phi.values - np.conj(phi.values))))
+               for phi in chars)
+    fixed = [i for i in range(n)
+             if np.max(np.abs(s[:, i] - np.eye(n)[:, i])) <= opalg.algebra.eps_char]
+    real = max(abs(phi.values[i].imag) for i in fixed for phi in chars)
+    scale = 1.0 + float(np.max(np.abs(chars.matrix())))
+    assert report.conjugation_residual == pytest.approx(
+        conj, rel=0, abs=64 * np.finfo(np.float64).eps * scale)
+    assert report.realness_residual == real
+    # a star that fixes every basis op cannot conjugate non-real values
+    object.__setattr__(opalg.star, "action", np.eye(n, dtype=complex))
+    with pytest.raises(PropertyViolated) as exc:
+        verify_gelfand_isomorphism(opalg)
+    assert exc.value.details["clause"] == "conjugation"
+
+
 def test_selfadjoint_nilpotent_zero_operator():
     rep = check_selfadjoint_nilpotent(euclidean(2), np.zeros((2, 2)))
     assert rep.passed and rep.hypothesis_met
@@ -219,6 +273,17 @@ def test_selfadjoint_nilpotent_tiny_perturbation():
 def test_selfadjoint_nilpotent_rejects_nonselfadjoint():
     with pytest.raises(SelfAdjointnessViolated):
         check_selfadjoint_nilpotent(euclidean(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_two_generator_closure_is_orthonormal():
+    d = 24
+    space, gens = commuting_pair_fixture(d, seeded_rng(61))
+    opalg = generate_star_subalgebra(space, gens)
+    assert opalg.dim == 24
+    ops = opalg.basis_ops
+    assert np.array_equal(ops[0], np.eye(d) / np.sqrt(d))
+    pairings = np.einsum("aij,bij->ab", ops.conj(), ops)
+    assert np.max(np.abs(pairings - np.eye(opalg.dim))) <= 1e-12
 
 
 def test_closure_deterministic():
