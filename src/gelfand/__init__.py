@@ -96,6 +96,7 @@ from .spectrum import (
     CharacterSpace,
     RadicalSubspace,
     character_residual,
+    character_residuals,
     characters,
     indicator_element,
     interpolate,

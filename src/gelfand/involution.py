@@ -17,11 +17,11 @@ import numpy as np
 from .algebra import Algebra, _readonly, _worst_entry
 from .errors import CertificationFailed, PropertyViolated, ShapeMismatch
 from .spectrum import (
+    SEP_BASE,
     Character,
     CharacterSpace,
-    character_residual,
+    character_residuals,
     radical,
-    separation_threshold,
 )
 
 
@@ -53,7 +53,8 @@ def involution(algebra: Algebra, action) -> Involution:
 
     * S @ conj(S) = I  (star is an involution);
     * star(b_i b_j) = star(b_i) star(b_j) on all basis pairs, one basis
-      index i at a time in O(n³) memory;
+      index i at a time in O(n³) memory, with every L_{star(b_k)} built
+      by one GEMM;
     * star(e) = e.
 
     Raises :class:`PropertyViolated` naming the first law that fails.
@@ -72,12 +73,12 @@ def involution(algebra: Algebra, action) -> Involution:
             f"star applied twice differs from the identity by {gap:.3e}",
             law="involutive", residual=gap, tolerance=tol)
     # row j of slice i is star(b_i b_j) - star(b_i) star(b_j); star(b_i) is
-    # column i of S, and L_{star(b_i)} has rows tensordot(S[:, i], c)
+    # column i of S, and slice i of lstar is L_{star(b_i)}, all from one GEMM
     c = algebra.structure_constants
     st = s.T
+    lstar = (st @ c.reshape(n, n * n)).reshape(n, n, n)
     worst, (i, j, _) = _worst_entry(
-        np.abs(np.conj(c[k]) @ st - st @ np.tensordot(s[:, k], c, axes=(0, 0)))
-        for k in range(n))
+        np.abs(np.conj(c[k]) @ st - st @ lstar[k]) for k in range(n))
     if worst > tol:
         witness = (min(i, j), max(i, j))
         raise PropertyViolated(
@@ -107,18 +108,33 @@ def conjugate_character(inv: Involution, phi: Character) -> tuple[Character, boo
     The flag compares psi to phi at the character separation threshold,
     since the two are either identical or a full gap apart.
     """
+    values, residuals, fixed = _conjugates(inv, phi.values[None, :])
+    psi = Character(values=_readonly(values[0]), residual=float(residuals[0]))
+    return psi, bool(fixed[0])
+
+
+def _conjugates(inv: Involution,
+                values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conjugates conj(V S) of a (count, dim) stack of value vectors, certified.
+
+    Returns the stack, its residuals, and whether each conjugate equals its
+    own row within the separation threshold of that pair.  Raises
+    :class:`CertificationFailed` on the first row whose residual exceeds
+    eps_char.
+    """
     algebra = inv.algebra
-    values = np.conj(inv.action.T @ phi.values)
-    residual = character_residual(algebra, values)
-    if residual > algebra.eps_char:
+    conj = np.conj(values @ inv.action)
+    residuals = character_residuals(algebra, conj)
+    bad = np.flatnonzero(residuals > algebra.eps_char)
+    if bad.size:
+        residual = float(residuals[bad[0]])
         raise CertificationFailed(
             f"conjugate candidate has residual {residual:.3e} "
             f"(tolerance {algebra.eps_char:.3e})",
             residual=residual, tolerance=algebra.eps_char)
-    psi = Character(values=_readonly(values), residual=residual)
-    delta = separation_threshold((phi.values, values))
-    equal = float(np.max(np.abs(values - phi.values))) < delta
-    return psi, equal
+    peaks = np.maximum(np.max(np.abs(values), axis=1), np.max(np.abs(conj), axis=1))
+    fixed = np.max(np.abs(conj - values), axis=1) < SEP_BASE * (1.0 + peaks)
+    return conj, residuals, fixed
 
 
 def selfadjoint_parts(inv: Involution, x) -> tuple[np.ndarray, np.ndarray]:

@@ -8,9 +8,10 @@ phi(e) = 1.  In characteristic 0 the trace form tr(L_x L_y) equals
 sum_phi m_phi phi(x) phi(y), so its range is spanned by the character
 vectors and its kernel is the radical.  :func:`characters` therefore
 compresses one seeded generic matrix L_g^T to that range, where it is
-diagonalizable with eigenvalues phi(g), reads every character off its
-eigenvectors, then certifies and sorts them.  Nothing uncertified is ever
-returned.
+diagonalizable with eigenvalues phi(g), and reads every character off its
+eigenvectors.  The whole candidate set is certified in one scan per basis
+index (:func:`character_residuals`) and sorted with one ``lexsort``.
+Nothing uncertified is ever returned.
 """
 
 from __future__ import annotations
@@ -123,9 +124,22 @@ class CharacterSpace:
 
 def character_residual(algebra: Algebra, v: np.ndarray) -> float:
     """Worst violation of multiplicativity and unitality for a value vector."""
-    mult = np.einsum("ijk,k->ij", algebra.structure_constants, v) - np.outer(v, v)
-    unit = abs(complex(v @ algebra.unit) - 1.0)
-    return max(float(np.max(np.abs(mult))), unit)
+    return float(character_residuals(algebra, np.asarray(v)[None, :])[0])
+
+
+def character_residuals(algebra: Algebra, vectors: np.ndarray) -> np.ndarray:
+    """:func:`character_residual` of every row of a (count, dim) array.
+
+    Scans one basis index i at a time: row i of the multiplicativity defect
+    sum_k c[i, j, k] v_k - v_i v_j is one matrix product for all rows at
+    once, and a running per-row maximum keeps the scratch at O(dim * count).
+    """
+    vt = np.asarray(vectors, dtype=np.complex128).T
+    c = algebra.structure_constants
+    worst = np.abs(algebra.unit @ vt - 1.0)
+    for i in range(algebra.dim):
+        np.maximum(worst, np.max(np.abs(c[i] @ vt - vt[i] * vt), axis=0), out=worst)
+    return worst
 
 
 def separation_threshold(vectors) -> float:
@@ -164,9 +178,10 @@ def characters(algebra: Algebra, seed: int = DEFAULT_SEED,
     matrix is diagonalizable with eigenvalues phi(g).  Compressing it to an
     orthonormal basis Q of the range (one SVD, whose rank is the character
     count) and mapping the eigenvectors back through Q gives one candidate
-    per character; each is normalized to phi(e) = 1, certified against
-    multiplicativity and unitality within eps_char, and the set is sorted
-    lexicographically by interleaved (Re, Im).
+    per character; each is normalized to phi(e) = 1.  The set is certified
+    against multiplicativity and unitality within eps_char by one
+    :func:`character_residuals` scan, and sorted lexicographically by
+    interleaved (Re, Im) with one ``np.lexsort``.
 
     A fresh generic element is drawn when two eigenvalues lie closer than
     the separation threshold or a candidate fails certification; after
@@ -199,15 +214,21 @@ def characters(algebra: Algebra, seed: int = DEFAULT_SEED,
         if gap < separation_threshold([eigs]):
             continue
         vecs = q @ w
-        found = list((vecs / (algebra.unit @ vecs)).T)
-        residuals = [character_residual(algebra, v) for v in found]
+        found = (vecs / (algebra.unit @ vecs)).T
+        residuals = character_residuals(algebra, found)
         worst = float(np.max(residuals))
         if not worst <= eps:
             worst_residual = max(worst_residual, worst)
             continue
-        quantum = 1e-9 * (1.0 + max(float(np.max(np.abs(v))) for v in found))
-        order = sorted(range(len(found)), key=lambda a: _sort_key(found[a], quantum))
-        chars = tuple(Character(values=_freeze(found[a]), residual=residuals[a])
+        # lexicographic over interleaved (Re, Im), snapped to a grid of
+        # 1e-9 * (1 + max|v|): distinct characters are at least delta_sep
+        # apart, so the order is stable against roundoff in coordinates
+        # that are morally equal
+        quantum = 1e-9 * (1.0 + float(np.max(np.abs(found))))
+        keys = np.rint(np.stack([found.real, found.imag], axis=2).reshape(rank, 2 * n)
+                       / quantum)
+        order = np.lexsort(keys.T[::-1])
+        chars = tuple(Character(values=_freeze(found[a]), residual=float(residuals[a]))
                       for a in order)
         return CharacterSpace(algebra=algebra, characters=chars,
                               delta_sep=separation_threshold([ch.values for ch in chars]),
@@ -219,18 +240,6 @@ def characters(algebra: Algebra, seed: int = DEFAULT_SEED,
         f"(eps_char {eps:.3e})",
         retries=retries, eigenvalue_gap=best_gap,
         worst_residual=worst_residual, eps_char=eps)
-
-
-def _sort_key(v: np.ndarray, quantum: float) -> tuple:
-    """Lexicographic key over interleaved (Re, Im), quantized.
-
-    Distinct characters are at least delta_sep apart, so snapping to a grid
-    of 1e-9 * (1 + max|v|) over the whole candidate set, computed once by
-    the caller, keeps the order stable against roundoff-level noise in
-    coordinates that are morally equal.
-    """
-    flat = np.column_stack([v.real, v.imag]).ravel()
-    return tuple(int(round(x / quantum)) for x in flat)
 
 
 def _freeze(v: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from . import __version__
 from .algebra import ASSOC_BASE, CHAR_BASE, Algebra
 from .corpus import CorpusItem, random_operator_fixture, standard_corpus
 from .errors import GelfandError
-from .involution import conjugate_character, radical_selfadjoint_span_check
+from .involution import _conjugates, radical_selfadjoint_span_check
 from .norms import (
     CONTRACTION_SLACK,
     homomorphism_norm,
@@ -171,19 +171,15 @@ def involution_suite(inv, space: CharacterSpace,
         worst_round = max(worst_round, gap / (1.0 + float(np.max(np.abs(x)))))
     thresh = separation_threshold([ch.values for ch in space])
     values = space.matrix()
-    closed = True
-    fixed = 0
-    for phi in space:
-        psi, equal = conjugate_character(inv, phi)
-        fixed += equal
-        best = float(np.min(np.max(np.abs(psi.values - values), axis=1)))
-        closed = closed and best <= thresh
+    conj, _, fixed = _conjugates(inv, values)
+    closed = all(float(np.min(np.max(np.abs(psi - values), axis=1))) <= thresh
+                 for psi in conj)
     span = radical_selfadjoint_span_check(inv, space)
     ok = worst_round <= 1e-12 and closed and span.passed
     return {
         "star_roundtrip_residual": worst_round,
         "conjugation_closed": bool(closed),
-        "self_conjugate_characters": int(fixed),
+        "self_conjugate_characters": int(np.sum(fixed)),
         "span_check_passed": bool(span.passed),
         "span_worst_residual": float(span.worst_residual),
         "passed": bool(ok),

@@ -8,10 +8,13 @@ from gelfand import (
     CertificationFailed,
     PropertyViolated,
     ShapeMismatch,
+    abelian_group,
+    abelian_group_algebra,
     characters,
     dual_numbers,
     polynomial_quotient,
     seeded_rng,
+    standard_corpus,
     validate,
 )
 from gelfand.involution import (
@@ -22,7 +25,8 @@ from gelfand.involution import (
     radical_selfadjoint_span_check,
     selfadjoint_parts,
 )
-from gelfand.spectrum import Character
+from gelfand.spectrum import Character, separation_threshold
+from gelfand.verify import involution_suite
 
 from oracles import naive_multiply
 
@@ -255,3 +259,42 @@ def test_radical_span_check_depth_three():
     alg = polynomial_quotient([0.0, 0.0, 0.0])
     rep = radical_selfadjoint_span_check(coordinate_conjugation(alg), characters(alg))
     assert rep.passed and rep.radical_dim == 2 and rep.checked == 4
+
+
+def _stars():
+    params = [pytest.param(item.star, id=item.name)
+              for item in standard_corpus() if item.star is not None]
+    return params + [pytest.param(abelian_group_algebra(abelian_group((12,)))[1], id="Z12")]
+
+
+@pytest.mark.parametrize("inv", _stars())
+def test_involution_suite_matches_conjugate_character_loop(inv):
+    space = characters(inv.algebra)
+    values = space.matrix()
+    thresh = separation_threshold([ch.values for ch in space])
+    fixed = 0
+    closed = True
+    for phi in space:
+        psi, equal = conjugate_character(inv, phi)
+        gap = float(np.max(np.abs(psi.values - phi.values)))
+        assert equal == (gap < separation_threshold((phi.values, psi.values)))
+        fixed += equal
+        closed = closed and float(np.min(np.max(np.abs(psi.values - values), axis=1))) <= thresh
+    out = involution_suite(inv, space)
+    assert out["self_conjugate_characters"] == fixed
+    assert out["conjugation_closed"] is closed
+
+
+def test_uncertified_star_fails_conjugation_the_same_way():
+    # diag(1, i) is involutive but not multiplicative on C[t]/(t^2 - 1);
+    # built directly, it skips certification and breaks every conjugate
+    alg = polynomial_quotient([-1.0, 0.0])
+    inv = Involution(algebra=alg, action=np.diag([1.0, 1.0j]))
+    space = characters(alg)
+    with pytest.raises(CertificationFailed) as one:
+        conjugate_character(inv, space[0])
+    with pytest.raises(CertificationFailed) as suite:
+        involution_suite(inv, space)
+    assert set(one.value.details) == set(suite.value.details) == {"residual", "tolerance"}
+    assert one.value.details == suite.value.details
+    assert one.value.details["residual"] > alg.eps_char

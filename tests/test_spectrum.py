@@ -1,5 +1,6 @@
 """Characters, transform, radical, nilpotents, separation."""
 
+import tracemalloc
 from collections import Counter
 from math import comb
 
@@ -12,6 +13,8 @@ from numpy.testing import assert_allclose
 
 from gelfand import (
     CertificationFailed,
+    abelian_group,
+    abelian_group_algebra,
     LengthMismatch,
     NotDistinct,
     NotMember,
@@ -19,11 +22,14 @@ from gelfand import (
     dual_numbers,
     polynomial_quotient,
     random_algebra,
+    standard_corpus,
     validate,
 )
 from gelfand.spectrum import (
     Character,
     CharacterSpace,
+    character_residual,
+    character_residuals,
     characters,
     indicator_element,
     interpolate,
@@ -32,7 +38,13 @@ from gelfand.spectrum import (
     separating_element,
 )
 
-from oracles import match_rows, naive_power, newton_characters, trace_form_radical
+from oracles import (
+    match_rows,
+    naive_multiply,
+    naive_power,
+    newton_characters,
+    trace_form_radical,
+)
 
 
 @pytest.fixture(scope="module")
@@ -435,3 +447,101 @@ def test_separation_check_names_the_first_close_pair():
     assert [a, b] == [0, 3] == list(first)
     assert exc.value.details["distance"] == float(np.max(np.abs(rows[a] - rows[b])))
     assert exc.value.details["delta_sep"] == 1e-6
+
+
+def _mixed_jet_sum(blocks, seed):
+    """C[t]/(t^k) summed over ``blocks``, in a seeded random unitary basis."""
+    n = sum(blocks)
+    c = np.zeros((n, n, n))
+    unit = np.zeros(n)
+    o = 0
+    for k in blocks:
+        for a in range(k):
+            for b in range(k - a):
+                c[o + a, o + b, o + a + b] = 1.0
+        unit[o] = 1.0
+        o += k
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    mixed = np.einsum("ia,jb,ijk,kl->abl", q, q, c, q.conj())
+    return validate(mixed, q.conj().T @ unit)
+
+
+def _naive_residuals(alg, rows):
+    """Per-row character residual from naive basis products."""
+    c = alg.structure_constants
+    n = alg.dim
+    basis = np.eye(n)
+    prods = [[naive_multiply(c, basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    out = []
+    for v in rows:
+        worst = abs(complex(v @ alg.unit) - 1.0)
+        for i in range(n):
+            for j in range(n):
+                worst = max(worst, abs(complex(v @ prods[i][j]) - v[i] * v[j]))
+        out.append(worst)
+    return np.array(out)
+
+
+def _residual_algebra(name):
+    if name == "Z16":
+        return abelian_group_algebra(abelian_group((16,)))[0]
+    if name == "mixed-jets":
+        return _mixed_jet_sum((3, 2, 1), seed=7)
+    return next(item.algebra for item in standard_corpus() if item.name == name)
+
+
+@pytest.mark.parametrize("name", ["jet-3", "D4-center", "Q8-center", "Z16", "mixed-jets"])
+def test_character_residuals_match_naive_rows(name):
+    alg = _residual_algebra(name)
+    rows = characters(alg).matrix()
+    rng = np.random.default_rng(3)
+    planted = rows[0] + 0.1 * (rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
+    rows = np.vstack([rows, planted, np.zeros(alg.dim)])   # the zero row fails unitality only
+    got = character_residuals(alg, rows)
+    want = _naive_residuals(alg, rows)
+    atol = 64 * np.finfo(float).eps * (1.0 + alg.scale)
+    assert_allclose(got, want, rtol=0, atol=atol)
+    assert np.all(got[:-2] <= alg.eps_char)
+    assert got[-2] > 1e-3 and got[-1] == 1.0
+    assert_allclose([character_residual(alg, v) for v in rows], got, rtol=0, atol=atol)
+
+
+def _reference_order(rows):
+    """Tuple sort over quantized interleaved (Re, Im), one key per row."""
+    quantum = 1e-9 * (1.0 + max(float(np.max(np.abs(v))) for v in rows))
+
+    def key(a):
+        flat = np.column_stack([rows[a].real, rows[a].imag]).ravel()
+        return tuple(int(round(x / quantum)) for x in flat)
+
+    return sorted(range(len(rows)), key=key)
+
+
+@pytest.mark.parametrize("alg", [
+    # roots 0.5 +- 1i, 0.5 +- 2i: every coordinate 1 has real part 0.5 up to
+    # roundoff, so its imaginary part decides before coordinate 2 is read
+    polynomial_quotient(np.poly([0.5 + 1j, 0.5 - 1j, 0.5 + 2j, 0.5 - 2j])[1:][::-1]),
+    polynomial_quotient([-1, 0, 0, 0, 0, 0]),
+    random_algebra(5, max_dim=9).algebra,
+], ids=["equal-real-parts", "sixth-roots", "random-5"])
+def test_character_order_matches_tuple_sort(alg):
+    rows = characters(alg).matrix()
+    shuffled = rows[::-1]
+    assert [len(rows) - 1 - a for a in _reference_order(shuffled)] == list(range(len(rows)))
+    assert _reference_order(rows) == list(range(len(rows)))
+
+
+def test_characters_peak_memory_is_below_cubic():
+    # Z_64: one basis index at a time, the certificate holds O(n m) scratch,
+    # where a one-shot (n^2, m) product alone would be n^3 complex entries
+    n = 64
+    alg, _ = abelian_group_algebra(abelian_group((n,)))
+    tracemalloc.start()
+    try:
+        space = characters(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(space) == n
+    assert peak < n**3 * 16
