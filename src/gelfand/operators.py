@@ -2,7 +2,9 @@
 
 The inner product is ⟨v, w⟩ = wᴴ G v for a Hermitian positive-definite
 Gram matrix G, so the adjoint of T is G⁻¹ Tᴴ G.  A star subalgebra is
-generated from matrices by closing under products and adjoints; the
+generated from matrices by closing the identity under multiplication by
+the generators and their adjoints, one round of products at a time, in a
+basis orthonormal in the G inner product ⟨A, B⟩_G = tr(B* A).  The
 closure is re-expressed as an abstract structure-constant algebra with
 its induced involution, which lets every abstract tool (characters,
 radical, norms) run on concrete operators.  The headline facts checked
@@ -14,6 +16,7 @@ conjugation under the transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +67,13 @@ class InnerProductSpace:
     def condition(self) -> float:
         lo, hi = self._eig_range()
         return hi / lo
+
+    @cached_property
+    def _whitening(self) -> tuple[np.ndarray, np.ndarray]:
+        """W = G^½ and W⁻¹, from one eigendecomposition of G."""
+        evals, vecs = np.linalg.eigh(self.gram)
+        root = np.sqrt(evals)
+        return (vecs * root) @ vecs.conj().T, (vecs / root) @ vecs.conj().T
 
     def _eig_range(self) -> tuple[float, float]:
         eigs = np.linalg.eigvalsh(self.gram)
@@ -126,17 +136,19 @@ def _operator(space: InnerProductSpace, t) -> np.ndarray:
     return t
 
 
-def _project_out(ops: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frobenius pairings trace(opsᴴ t) with the stacked ops, and t minus its
-    projection onto their span when they are orthonormal."""
-    coeffs = np.sum(np.conj(ops) * t, axis=(1, 2))
-    return coeffs, t - np.tensordot(coeffs, ops, axes=(0, 0))
+def _project_out(basis: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of rows in the orthonormal rows of basis, and the rows
+    minus their projection on it.  The conjugate is taken of the rows, not
+    of the usually larger basis."""
+    coeffs = np.conj(np.conj(rows) @ basis.T)
+    return coeffs, rows - coeffs @ basis
 
 
-def _expand(ops: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, float]:
-    """Coefficients of t in the Frobenius-orthonormal ops, and the norm left over."""
-    coeffs, rest = _project_out(ops, t)
-    return coeffs, float(np.linalg.norm(rest))
+def _expand(basis: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of rows in the orthonormal rows of basis, and the norm
+    of each row left over."""
+    coeffs, rest = _project_out(basis, rows)
+    return coeffs, np.linalg.norm(rest, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,14 +156,14 @@ class OperatorAlgebra:
     """A commutative star-closed span of matrices with its abstract shadow.
 
     ``basis_ops[k]`` is the concrete matrix behind abstract basis vector k;
-    the basis is orthonormal under the Frobenius pairing with
-    ``basis_ops[0]`` a positive multiple of the identity, so the abstract
+    the basis is orthonormal in the G inner product ⟨A, B⟩_G = tr(B* A),
+    B* the adjoint, with ``basis_ops[0]`` exactly I/√d, so the abstract
     unit is supported on a single coordinate.
     """
 
     space: InnerProductSpace
     generators: tuple[np.ndarray, ...]
-    basis_ops: np.ndarray          # (m, d, d), Frobenius-orthonormal
+    basis_ops: np.ndarray          # (m, d, d), orthonormal in the G inner product
     algebra: Algebra
     star: Involution
     expansion_residual: float
@@ -165,14 +177,19 @@ class OperatorAlgebra:
                 f"space_dim={self.space.dim})")
 
     def coords(self, t, tol: float | None = None) -> np.ndarray:
-        """Coordinates of a matrix in the operator basis.
+        """Coordinates of a matrix in the operator basis, by the G pairing.
 
-        Raises :class:`NotMember` when the matrix does not lie in the span.
+        Raises :class:`NotMember` when the G-norm of what is left over
+        exceeds ``tol``, by default 1e-8 (1 + the G-norm of the matrix).
         """
         t = _operator(self.space, t)
-        c, leftover = _expand(self.basis_ops, t)
+        root, root_inv = self.space._whitening
+        basis = (root @ self.basis_ops @ root_inv).reshape(self.dim, -1)
+        row = (root @ t @ root_inv).reshape(-1)
+        c, leftover = _expand(basis, row)
+        leftover = float(leftover)
         if tol is None:
-            tol = 1e-8 * (1.0 + float(np.linalg.norm(t)))
+            tol = 1e-8 * (1.0 + float(np.linalg.norm(row)))
         if leftover > tol:
             raise NotMember(
                 f"matrix lies outside the operator algebra "
@@ -191,75 +208,105 @@ def generate_star_subalgebra(space: InnerProductSpace,
     """Close matrices under products and adjoints into a certified algebra.
 
     Requires the generators and their adjoints to commute pairwise, which
-    makes the whole closure commutative.  The closure runs Gram-Schmidt
-    over vectorized matrices, seeding with the identity so the abstract
-    unit lands on basis index 0; each accepted direction enqueues its
-    adjoint and its products with the basis found so far.  The accepted
-    basis is one stacked array, and each candidate is orthogonalized
-    against all of it at once, twice over (classical Gram-Schmidt with one
-    reorthogonalization pass).  The stack starts with room for d matrices,
-    the most a commutative star-closed algebra on C^d spans, and doubles
-    when full, up to the d² that all d x d matrices span.
+    makes the whole closure commutative.  The closure runs in the whitened
+    frame T -> W T W⁻¹, W = G^½, where the G-adjoint is the conjugate
+    transpose and the G inner product tr(B* A) is the Frobenius pairing.
+    A span that holds I and is closed under left multiplication by every
+    generator and adjoint holds every word in them, so it is the unital
+    star algebra they generate.  The basis starts at I/√d, which puts the
+    abstract unit on basis index 0, and grows by rounds: the first front is
+    the generators and their adjoints, and each later front is every
+    generator and adjoint times every direction the previous round
+    accepted.  A front is projected off the basis in two passes of
+    classical Gram-Schmidt over the flattened (rows, d²) stack, rows at or
+    below the closure threshold are dropped, and the rest are
+    orthonormalized one by one against the directions of their own round.
+    The basis stack starts with room for d matrices, the most a commutative
+    star-closed algebra on C^d spans, and doubles when full, up to the d²
+    that all d x d matrices span.  ``basis_ops`` is W⁻¹ B W for the
+    whitened basis B, with index 0 set to exactly I/√d.
     """
     d = space.dim
     gens = tuple(_readonly(_operator(space, g)) for g in generators)
     adjs = [adjoint(space, g) for g in gens]
     _check_commuting(gens, adjs)
 
-    identity = np.eye(d, dtype=np.complex128)
+    root, root_inv = space._whitening
+    white = np.array([root @ g @ root_inv for g in gens],
+                     dtype=np.complex128).reshape(-1, d, d)
+    white = np.concatenate([white, white.conj().transpose(0, 2, 1)])
+    identity = np.eye(d, dtype=np.complex128).reshape(-1)
     limit = d * d
-    basis = np.empty((d, d, d), dtype=np.complex128)
+    basis = np.empty((d, limit), dtype=np.complex128)
     basis[0] = identity / np.sqrt(d)
     m = 1
-    queue: list[np.ndarray] = list(gens) + adjs
-    scale = max([1.0] + [float(np.linalg.norm(g)) for g in gens])
-    while queue:
-        cand = queue.pop(0)
-        scale = max(scale, float(np.linalg.norm(cand)))
-        _, resid = _project_out(basis[:m], cand)
-        _, resid = _project_out(basis[:m], resid)
-        size = float(np.linalg.norm(resid))
-        if size <= CLOSURE_TOL * (1.0 + scale):
-            continue
-        if m == limit:
-            raise ClosureOverflow(
-                f"closure exceeded {limit} dimensions on a {d}x{d} space",
-                limit=limit)
-        if m == len(basis):
-            basis = np.concatenate([basis, np.empty_like(basis[:limit - m])])
-        q = basis[m] = resid / size
-        m += 1
-        queue.append(adjoint(space, q))
-        queue.extend(0.5 * (q @ b + b @ q) for b in basis[:m])
+    front = white.reshape(-1, limit)
+    scale = 1.0
+    while len(front):
+        scale = max(scale, float(np.max(np.linalg.norm(front, axis=1))))
+        tol = CLOSURE_TOL * (1.0 + scale)
+        for _ in range(2):
+            front = _project_out(basis[:m], front)[1]
+        start = m
+        for row in front[np.linalg.norm(front, axis=1) > tol]:
+            for _ in range(2):
+                row = _project_out(basis[start:m], row)[1]
+            size = float(np.linalg.norm(row))
+            if size <= tol:
+                continue
+            if m == limit:
+                raise ClosureOverflow(
+                    f"closure exceeded {limit} dimensions on a {d}x{d} space",
+                    limit=limit)
+            if m == len(basis):
+                basis = np.concatenate([basis, np.empty_like(basis[:limit - m])])
+            basis[m] = row / size
+            m += 1
+        # [B_a | B_b | ...] for the k new directions, so one GEMM forms every
+        # generator and adjoint times every one of them
+        k = m - start
+        fresh = basis[start:m].reshape(k, d, d).transpose(1, 0, 2).reshape(d, -1)
+        front = ((white.reshape(-1, d) @ fresh).reshape(len(white), d, k, d)
+                 .transpose(0, 2, 1, 3).reshape(-1, limit))
 
     ops = basis[:m]
+    mats = ops.reshape(m, d, d)
+    cols = mats.transpose(1, 0, 2).reshape(d, m * d)       # [B_0 | B_1 | ...]
     c = np.zeros((m, m, m), dtype=np.complex128)
     worst = 0.0
     for i in range(m):
-        for j in range(i, m):
-            prod = 0.5 * (ops[i] @ ops[j] + ops[j] @ ops[i])
-            coeff, gap = _expand(ops, prod)
-            worst = max(worst, gap)
-            if gap > EXPANSION_TOL * (1.0 + float(np.linalg.norm(prod))):
-                raise PropertyViolated(
-                    f"product of basis ops ({i}, {j}) does not re-expand in "
-                    f"the closure (residual {gap:.3e})",
-                    pair=[i, j], residual=gap)
-            c[i, j] = c[j, i] = coeff
+        # symmetrized products of B_i with every B_j, j >= i, flattened
+        right = (mats[i] @ cols[:, i * d:]).reshape(d, m - i, d).transpose(1, 0, 2)
+        prod = 0.5 * ((mats[i:].reshape(-1, d) @ mats[i]).reshape(m - i, d, d) + right)
+        prod = prod.reshape(m - i, limit)
+        coeff, gaps = _expand(ops, prod)
+        worst = max(worst, float(np.max(gaps)))
+        bad = np.flatnonzero(gaps > EXPANSION_TOL * (1.0 + np.linalg.norm(prod, axis=1)))
+        if len(bad):
+            gap = float(gaps[bad[0]])
+            raise PropertyViolated(
+                f"product of basis ops ({i}, {i + bad[0]}) does not re-expand in "
+                f"the closure (residual {gap:.3e})",
+                pair=[i, i + int(bad[0])], residual=gap)
+        c[i, i:] = coeff
+        c[i:, i] = coeff
     embedded = validate(c, _expand(ops, identity)[0])
 
-    s = np.zeros((m, m), dtype=np.complex128)
-    for i in range(m):
-        a = adjoint(space, ops[i])
-        s[:, i], gap = _expand(ops, a)
-        worst = max(worst, gap)
-        if gap > EXPANSION_TOL * (1.0 + float(np.linalg.norm(a))):
-            raise PropertyViolated(
-                f"adjoint of basis op {i} does not re-expand in the closure "
-                f"(residual {gap:.3e})",
-                index=i, residual=gap)
+    adj = mats.conj().transpose(0, 2, 1).reshape(m, limit)
+    coeff, gaps = _expand(ops, adj)
+    s = coeff.T
+    worst = max(worst, float(np.max(gaps)))
+    bad = np.flatnonzero(gaps > EXPANSION_TOL * (1.0 + np.linalg.norm(adj, axis=1)))
+    if len(bad):
+        gap = float(gaps[bad[0]])
+        raise PropertyViolated(
+            f"adjoint of basis op {bad[0]} does not re-expand in the closure "
+            f"(residual {gap:.3e})",
+            index=int(bad[0]), residual=gap)
     star = involution(embedded, s)
-    return OperatorAlgebra(space=space, generators=gens, basis_ops=_readonly(ops),
+    out = root_inv @ mats @ root
+    out[0] = identity.reshape(d, d) / np.sqrt(d)
+    return OperatorAlgebra(space=space, generators=gens, basis_ops=_readonly(out),
                            algebra=embedded, star=star, expansion_residual=worst)
 
 

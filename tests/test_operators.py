@@ -11,6 +11,7 @@ from gelfand import (
     PropertyViolated,
     ShapeMismatch,
     characters,
+    operator_norm,
     seeded_rng,
 )
 from gelfand.errors import SelfAdjointnessViolated
@@ -22,6 +23,7 @@ from gelfand.operators import (
     inner_product_space,
     verify_gelfand_isomorphism,
 )
+from gelfand.verify import involution_suite
 
 
 def euclidean(d):
@@ -36,6 +38,25 @@ def random_gram(d, rng):
     return (q * lam) @ q.conj().T
 
 
+def gram_root(gram):
+    """W = G^½ and W⁻¹."""
+    evals, vecs = np.linalg.eigh(gram)
+    return ((vecs * np.sqrt(evals)) @ vecs.conj().T,
+            (vecs / np.sqrt(evals)) @ vecs.conj().T)
+
+
+def unitary(d, rng):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return np.linalg.qr(z)[0]
+
+
+def planted_normal(space, eigs, rng):
+    """A G-normal matrix with the given eigenvalues, in a random eigenbasis."""
+    u = unitary(space.dim, rng)
+    w, _ = gram_root(space.gram)
+    return np.linalg.solve(w, (u * eigs) @ u.conj().T) @ w
+
+
 def normal_fixture(d, rng):
     """(space, T, eigs): T is G-normal with well-separated eigenvalues."""
     space = inner_product_space(random_gram(d, rng))
@@ -44,12 +65,7 @@ def normal_fixture(d, rng):
         gaps = [abs(eigs[i] - eigs[j]) for i in range(d) for j in range(i + 1, d)]
         if not gaps or min(gaps) >= 0.1:
             break
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    u, _ = np.linalg.qr(z)
-    evals, vecs = np.linalg.eigh(space.gram)
-    w = (vecs * np.sqrt(evals)) @ vecs.conj().T
-    t = np.linalg.solve(w, (u * eigs) @ u.conj().T) @ w
-    return space, t, eigs
+    return space, planted_normal(space, eigs, rng), eigs
 
 
 def commuting_pair_fixture(d, rng):
@@ -59,10 +75,8 @@ def commuting_pair_fixture(d, rng):
     so only the two together generate the d-dimensional closure.
     """
     space = inner_product_space(random_gram(d, rng))
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    u, _ = np.linalg.qr(z)
-    evals, vecs = np.linalg.eigh(space.gram)
-    w = (vecs * np.sqrt(evals)) @ vecs.conj().T
+    u = unitary(d, rng)
+    w, _ = gram_root(space.gram)
     half = np.arange(d // 2) + 1.0
     eigs = [np.repeat(half, 2), np.ravel(np.column_stack([half, -half])) * (1 + 1j)]
     return space, [np.linalg.solve(w, (u * e) @ u.conj().T) @ w for e in eigs]
@@ -282,7 +296,11 @@ def test_two_generator_closure_is_orthonormal():
     assert opalg.dim == 24
     ops = opalg.basis_ops
     assert np.array_equal(ops[0], np.eye(d) / np.sqrt(d))
-    pairings = np.einsum("aij,bij->ab", ops.conj(), ops)
+    # orthonormal in the G inner product, i.e. in the Frobenius pairing of
+    # the whitened frame W ops W⁻¹, W = G^½
+    root, root_inv = gram_root(space.gram)
+    white = root @ ops @ root_inv
+    pairings = np.einsum("aij,bij->ab", white.conj(), white)
     assert np.max(np.abs(pairings - np.eye(opalg.dim))) <= 1e-12
 
 
@@ -295,3 +313,59 @@ def test_closure_deterministic():
     b = generate_star_subalgebra(space2, [t2])
     assert np.array_equal(a.basis_ops, b.basis_ops)
     assert np.array_equal(a.algebra.structure_constants, b.algebra.structure_constants)
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e3, 1e4])
+def test_ill_conditioned_closures_pass_involution_suite(cond):
+    # in a G-orthonormal basis the induced star matrix S is unitary, so
+    # star(star(x)) = x to rounding, whatever the condition of G
+    rng = seeded_rng(int(np.log10(cond)), 71)
+    for _ in range(6):
+        u = unitary(16, rng)
+        space = inner_product_space((u * np.geomspace(1.0, cond, 16)) @ u.conj().T)
+        t = planted_normal(space, rng.permutation(16) * (0.3 + 0.2j), rng)
+        opalg = generate_star_subalgebra(space, [t])
+        assert opalg.dim == 16
+        report = involution_suite(opalg.star, characters(opalg.algebra))
+        assert report["passed"], report
+
+
+def test_closure_regular_norm_reads_joint_eigenvalues():
+    # ⟨A, B⟩_G is a positive trace, so L_{x*} is the adjoint of L_x in the
+    # G-orthonormal basis and the regular matrices are a commuting normal family
+    space, t, _ = normal_fixture(6, seeded_rng(73))
+    opalg = generate_star_subalgebra(space, [t])
+    alg = opalg.algebra
+    norm = operator_norm(alg)
+    assert norm.joint_eigenvalues is not None
+    xs = alg.random_elements(20, seeded_rng(79))
+    want = [np.linalg.norm(alg.left_regular(x), 2) for x in xs]
+    assert_allclose(norm.of_many(xs), want, rtol=64 * np.finfo(np.float64).eps)
+
+
+def test_coords_expand_in_the_gram_pairing():
+    rng = seeded_rng(83)
+    space, t, _ = normal_fixture(4, rng)
+    opalg = generate_star_subalgebra(space, [t])
+    x = opalg.algebra.random_elements(1, rng)[0]
+    member = opalg.matrix_of(x)
+    assert_allclose(opalg.coords(member), x, rtol=0, atol=1e-12)
+    # coefficient k is ⟨member, ops_k⟩_G = tr(ops_k* member)
+    pairing = [np.trace(adjoint(space, b) @ member) for b in opalg.basis_ops]
+    assert_allclose(opalg.coords(member), pairing, rtol=0, atol=1e-12)
+    # a direction G-orthogonal to the closure, of G-norm one, is left over whole
+    r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    r -= sum(np.trace(adjoint(space, b) @ r) * b for b in opalg.basis_ops)
+    r /= np.sqrt(np.trace(adjoint(space, r) @ r).real)
+    with pytest.raises(NotMember) as exc:
+        opalg.coords(member + 1e-3 * r)
+    assert exc.value.details["leftover"] == pytest.approx(1e-3, rel=1e-9)
+
+
+def test_repeated_eigenvalues_give_a_smaller_closure():
+    rng = seeded_rng(89)
+    space = inner_product_space(random_gram(6, rng))
+    t = planted_normal(space, np.repeat([1.0, 2.0 + 1j, -1.5j], 2), rng)
+    opalg = generate_star_subalgebra(space, [t])
+    assert opalg.dim == 3
+    assert verify_gelfand_isomorphism(opalg).character_count == 3
