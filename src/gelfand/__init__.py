@@ -23,7 +23,6 @@ from .corpus import (
 from .errors import (
     BadUnit,
     CertificationFailed,
-    ClosureOverflow,
     ContractionViolated,
     CountMismatch,
     DimensionMismatch,

@@ -45,9 +45,15 @@ CHAR_BASE = 1e-8
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.complex128, copy=True)
+    """A read-only complex copy in C order, whatever the input's layout."""
+    out = np.array(a, dtype=np.complex128, copy=True, order="C")
     out.setflags(write=False)
     return out
+
+
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Complex standard normals (re + i·im)/√2, real parts drawn first."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def _worst_entry(slices) -> tuple[float, tuple[int, ...]]:
@@ -158,8 +164,7 @@ class Algebra:
 
     def random_elements(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """(count, dim) array of complex standard-normal coordinate vectors."""
-        z = rng.standard_normal((count, self.dim)) + 1j * rng.standard_normal((count, self.dim))
-        return z / np.sqrt(2.0)
+        return _complex_normal(rng, (count, self.dim))
 
 
 def validate(structure_constants, unit, basis_names=None) -> Algebra:

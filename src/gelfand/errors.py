@@ -93,10 +93,6 @@ class SelfAdjointnessViolated(GelfandError):
     """An operator claimed self-adjoint is not, within tolerance."""
 
 
-class ClosureOverflow(GelfandError):
-    """Subalgebra closure failed to stabilize; numerical rank trouble."""
-
-
 class InvalidGroup(GelfandError):
     """Group data (invariant factors or Cayley table) is not a group."""
 

@@ -1,12 +1,14 @@
 """Convolution algebras of finite groups.
 
-Abelian groups enter by invariant factors and give the full convolution
-algebra with the involution f*(a) = conj(f(-a)).  Arbitrary finite
-groups enter by Cayley table; there the commutative object is the center
-of the convolution algebra, spanned by conjugacy-class sums, with the
-involution induced by f*(g) = conj(f(g^-1)).  Both constructions hand
-back certified Algebra and Involution values, so characters, radicals
-and norms come from the generic machinery.
+Arbitrary finite groups enter by Cayley table; the commutative object is
+the center of the convolution algebra, spanned by conjugacy-class sums,
+with the involution induced by f*(g) = conj(f(g^-1)).  Abelian groups
+enter by invariant factors, and their full convolution algebra, with
+f*(a) = conj(f(-a)), is the same construction with one element in every
+class.  One builder reads both off a Cayley table, an inverse array and a
+class label per element, in array operations, and hands back certified
+Algebra and Involution values, so characters, radicals and norms come
+from the generic machinery.
 """
 
 from __future__ import annotations
@@ -73,21 +75,17 @@ def abelian_group(invariant_factors) -> FiniteAbelianGroup:
 
 
 def abelian_group_algebra(group: FiniteAbelianGroup) -> tuple[Algebra, Involution]:
-    """Convolution algebra on delta functions, with star(d_a) = d_(-a)."""
-    elems = group.elements()
-    n = group.order
-    c = np.zeros((n, n, n), dtype=np.complex128)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            c[i, j, group.index(group.add(a, b))] = 1.0
-    unit = np.zeros(n, dtype=np.complex128)
-    unit[group.index(tuple(0 for _ in group.invariant_factors))] = 1.0
-    names = ["d(" + ",".join(map(str, a)) + ")" for a in elems]
-    alg = validate(c, unit, names)
-    s = np.zeros((n, n))
-    for i, a in enumerate(elems):
-        s[group.index(group.neg(a)), i] = 1.0
-    return alg, involution(alg, s)
+    """Convolution algebra on delta functions, with star(d_a) = d_(-a);
+    every element is its own class."""
+    table = np.zeros((1, 1), dtype=np.int64)     # addition, in group.index order
+    for m in group.invariant_factors:
+        steps = np.arange(m)
+        cyclic = (steps[:, None, None] + steps) % m   # [x, 0, y] = (x + y) mod m
+        k = len(table) * m
+        table = (table[:, None, :, None] * m + cyclic).reshape(k, k)
+    inverse = np.argmax(table == 0, axis=1)
+    names = ["d(" + ",".join(map(str, a)) + ")" for a in group.elements()]
+    return _class_sum_algebra(table, inverse, np.arange(group.order), 0, names)
 
 
 def convolve(group: FiniteAbelianGroup, f, g) -> np.ndarray:
@@ -172,27 +170,30 @@ def finite_group(cayley, identity: int = 0) -> FiniteGroup:
     if table.min() < 0 or table.max() >= n:
         raise InvalidGroup("table entries must be element indices",
                            law="range")
-    full = frozenset(range(n))
-    for i in range(n):
-        if frozenset(table[i].tolist()) != full:
-            raise InvalidGroup(f"row {i} is not a permutation", law="latin", row=i)
-        if frozenset(table[:, i].tolist()) != full:
+    # entries are in range, so a line is a permutation iff it sorts to
+    # 0..n-1; failures are reported in the order row 0, column 0, row 1, ...
+    steps = np.arange(n)
+    bad = np.stack([np.any(np.sort(table, axis=1) != steps, axis=1),
+                    np.any(np.sort(table, axis=0) != steps[:, None], axis=0)], axis=1)
+    if bad.any():
+        i, is_column = divmod(int(np.argmax(bad)), 2)
+        if is_column:
             raise InvalidGroup(f"column {i} is not a permutation", law="latin",
                                column=i)
+        raise InvalidGroup(f"row {i} is not a permutation", law="latin", row=i)
     e = int(identity)
     if not (0 <= e < n):
         raise InvalidGroup(f"identity index {e} out of range", law="identity")
-    if not (np.array_equal(table[e], np.arange(n))
-            and np.array_equal(table[:, e], np.arange(n))):
+    if not (np.array_equal(table[e], steps) and np.array_equal(table[:, e], steps)):
         raise InvalidGroup(f"index {e} is not a two-sided identity",
                            law="identity")
-    inverse = np.full(n, -1, dtype=np.int64)
-    for g in range(n):
-        h = int(np.flatnonzero(table[g] == e)[0])
-        if table[h, g] != e:
-            raise InvalidGroup(f"element {g} has no two-sided inverse",
-                               law="inverse", element=g)
-        inverse[g] = h
+    # the right inverse of g is the one column of row g holding e
+    inverse = np.argmax(table == e, axis=1)
+    one_sided = table[inverse, steps] != e
+    if one_sided.any():
+        g = int(np.argmax(one_sided))
+        raise InvalidGroup(f"element {g} has no two-sided inverse",
+                           law="inverse", element=g)
     # associativity, one a at a time: entry [b, c] of slice a compares
     # (ab)c with a(bc)
     broken, triple = _worst_entry(table[table[a]] != table[a][table] for a in range(n))
@@ -259,65 +260,61 @@ class ConjugacyClassPartition:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
 
-    def class_of(self, g: int) -> int:
-        for k, cls in enumerate(self.classes):
-            if g in cls:
-                return k
-        raise InvalidGroup(f"element {g} not covered by the partition")
-
     def __len__(self) -> int:
         return len(self.classes)
 
 
+def _conjugacy_labels(group: FiniteGroup) -> np.ndarray:
+    """Class index of every element, classes numbered by smallest member;
+    column g of the table of conjugates h g h^-1 is the orbit of g."""
+    conjugates = group.cayley[group.cayley, group.inverse[:, None]]
+    return np.unique(conjugates.min(axis=0), return_inverse=True)[1]
+
+
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:
-    """Orbits of g -> h g h^-1, by full enumeration."""
-    n = group.order
-    seen = [False] * n
-    classes = []
-    for g in range(n):
-        if seen[g]:
-            continue
-        orbit = set()
-        for h in range(n):
-            orbit.add(group.mul(group.mul(h, g), group.inv(h)))
-        for x in orbit:
-            seen[x] = True
-        classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda cls: cls[0])
-    return ConjugacyClassPartition(group=group, classes=tuple(classes))
+    """Orbits of g -> h g h^-1, read off the table of all conjugates."""
+    labels = _conjugacy_labels(group)
+    classes = tuple(tuple(np.flatnonzero(labels == k).tolist())
+                    for k in range(int(labels.max()) + 1))
+    return ConjugacyClassPartition(group=group, classes=classes)
 
 
 def center_algebra(group: FiniteGroup) -> tuple[Algebra, Involution]:
-    """The center of the convolution algebra, on the class-sum basis.
+    """The center of the convolution algebra, on the class-sum basis."""
+    labels = _conjugacy_labels(group)
+    first = np.unique(labels, return_index=True)[1]
+    names = [f"z{g}" for g in first.tolist()]
+    return _class_sum_algebra(group.cayley, group.inverse, labels,
+                              group.identity, names)
 
-    Structure constants count factorizations ab = g with a, b running
-    over two classes; the counts are integers and constant on classes,
-    both checked exactly since everything stays in integer arithmetic.
+
+def _class_sum_algebra(cayley: np.ndarray, inverse: np.ndarray,
+                       labels: np.ndarray, identity: int,
+                       names) -> tuple[Algebra, Involution]:
+    """The algebra of class sums of a group, with star(z_C) = z_(C^-1).
+
+    ``labels[g]`` numbers the class of element g, classes ordered by their
+    smallest member.  counts[i, j, g] is the number of factorizations
+    g = ab with a in class i and b in class j, one ``bincount`` over the
+    table.  The class sums span a subalgebra only if every count is
+    constant on classes; that is checked exactly, in integer arithmetic,
+    and c[i, j, k] is the count at the first element of class k.
     """
-    part = conjugacy_classes(group)
-    m = len(part)
-    n = group.order
-    c = np.zeros((m, m, m), dtype=np.complex128)
-    for i, ci in enumerate(part.classes):
-        for j, cj in enumerate(part.classes):
-            counts = np.zeros(n, dtype=np.int64)
-            for a in ci:
-                for b in cj:
-                    counts[group.mul(a, b)] += 1
-            for k, ck in enumerate(part.classes):
-                vals = {int(counts[g]) for g in ck}
-                if len(vals) != 1:
-                    raise PropertyViolated(
-                        f"class product ({i}, {j}) is not a class function",
-                        pair=[i, j], witness_class=k)
-                c[i, j, k] = vals.pop()
-    unit_class = part.class_of(group.identity)
+    n = len(labels)
+    m = int(labels.max()) + 1
+    first = np.unique(labels, return_index=True)[1]
+    flat = (labels[:, None] * m + labels[None, :]) * n + cayley
+    counts = np.bincount(flat.reshape(-1), minlength=m * m * n).reshape(m, m, n)
+    uneven = counts != counts[:, :, first[labels]]
+    if uneven.any():
+        i, j = divmod(int(np.argmax(uneven.any(axis=2))), m)
+        k = int(labels[uneven[i, j]].min())
+        raise PropertyViolated(
+            f"class product ({i}, {j}) is not a class function",
+            pair=[i, j], witness_class=k)
     unit = np.zeros(m, dtype=np.complex128)
-    unit[unit_class] = 1.0
-    names = [f"z{cls[0]}" for cls in part.classes]
-    alg = validate(c, unit, names)
+    unit[labels[identity]] = 1.0
+    alg = validate(counts[:, :, first], unit, names)
     s = np.zeros((m, m))
-    for i, cls in enumerate(part.classes):
-        inv_class = part.class_of(group.inv(cls[0]))
-        s[inv_class, i] = 1.0
+    s[labels[inverse[first]], np.arange(m)] = 1.0
     return alg, involution(alg, s)

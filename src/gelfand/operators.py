@@ -22,7 +22,6 @@ import numpy as np
 
 from .algebra import Algebra, _readonly, validate
 from .errors import (
-    ClosureOverflow,
     NotCommutative,
     NotMember,
     PropertyViolated,
@@ -221,15 +220,19 @@ def generate_star_subalgebra(space: InnerProductSpace,
     classical Gram-Schmidt over the flattened (rows, d²) stack, rows at or
     below the closure threshold are dropped, and the rest are
     orthonormalized one by one against the directions of their own round.
-    The basis stack starts with room for d matrices, the most a commutative
-    star-closed algebra on C^d spans, and doubles when full, up to the d²
-    that all d x d matrices span.  ``basis_ops`` is W⁻¹ B W for the
-    whitened basis B, with index 0 set to exactly I/√d.
+    A commutative star-closed algebra on C^d is simultaneously
+    diagonalizable, so it spans at most d directions, and the basis stack
+    holds d matrices.  A round that would accept a (d+1)-th direction
+    means the generators commute only to within the commutation
+    tolerance; it raises :class:`NotCommutative` naming the pair of
+    generators and adjoints with the largest commutator relative to its
+    tolerance.  ``basis_ops`` is W⁻¹ B W for the whitened basis B, with
+    index 0 set to exactly I/√d.
     """
     d = space.dim
     gens = tuple(_readonly(_operator(space, g)) for g in generators)
     adjs = [adjoint(space, g) for g in gens]
-    _check_commuting(gens, adjs)
+    pairs = _check_commuting(gens, adjs)
 
     root, root_inv = space._whitening
     white = np.array([root @ g @ root_inv for g in gens],
@@ -254,12 +257,13 @@ def generate_star_subalgebra(space: InnerProductSpace,
             size = float(np.linalg.norm(row))
             if size <= tol:
                 continue
-            if m == limit:
-                raise ClosureOverflow(
-                    f"closure exceeded {limit} dimensions on a {d}x{d} space",
-                    limit=limit)
-            if m == len(basis):
-                basis = np.concatenate([basis, np.empty_like(basis[:limit - m])])
+            if m == d:
+                name_a, name_b, comm, comm_tol = max(pairs, key=lambda p: p[2] / p[3])
+                raise NotCommutative(
+                    f"the closure outgrows the {d} directions of a commutative "
+                    f"algebra on C^{d}; {name_a} and {name_b} commute only to "
+                    f"{comm:.3e} (tolerance {comm_tol:.3e})",
+                    pair=[name_a, name_b], residual=comm, tolerance=comm_tol)
             basis[m] = row / size
             m += 1
         # [B_a | B_b | ...] for the k new directions, so one GEMM forms every
@@ -310,9 +314,15 @@ def generate_star_subalgebra(space: InnerProductSpace,
                            algebra=embedded, star=star, expansion_residual=worst)
 
 
-def _check_commuting(gens, adjs) -> None:
+def _check_commuting(gens, adjs) -> list[tuple[str, str, float, float]]:
+    """Commutator and tolerance of every pair of generators and adjoints.
+
+    Raises :class:`NotCommutative` on the first pair above its tolerance;
+    otherwise returns the scan as (name, name, commutator, tolerance).
+    """
     labeled = [(f"generator {i}", g) for i, g in enumerate(gens)]
     labeled += [(f"adjoint of generator {i}", a) for i, a in enumerate(adjs)]
+    pairs = []
     for a in range(len(labeled)):
         for b in range(a + 1, len(labeled)):
             name_a, ta = labeled[a]
@@ -325,6 +335,8 @@ def _check_commuting(gens, adjs) -> None:
                     f"{name_a} and {name_b} do not commute "
                     f"(commutator norm {comm:.3e})",
                     pair=[name_a, name_b], residual=comm, tolerance=tol)
+            pairs.append((name_a, name_b, comm, tol))
+    return pairs
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra
+from .algebra import Algebra, _complex_normal
 from .errors import (
     CertificationFailed,
     DimensionMismatch,
@@ -204,7 +204,7 @@ def characters(algebra: Algebra, seed: int = DEFAULT_SEED,
     worst_residual = 0.0
     for attempt in range(retries):
         rng = seeded_rng(seed, 1, attempt)
-        g = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+        g = _complex_normal(rng, n)
         generic = np.tensordot(g, c, axes=(0, 0))  # = L_g transposed
         eigs, w = np.linalg.eig(q.conj().T @ generic @ q)
         dist = np.abs(eigs[:, None] - eigs[None, :])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import __version__
-from .algebra import ASSOC_BASE, CHAR_BASE, Algebra
+from .algebra import ASSOC_BASE, CHAR_BASE, Algebra, _complex_normal
 from .corpus import CorpusItem, random_operator_fixture, standard_corpus
 from .errors import GelfandError
 from .involution import _conjugates, radical_selfadjoint_span_check
@@ -96,8 +96,7 @@ def _interpolation_suite(algebra: Algebra, space: CharacterSpace,
         z[k] -= 1.0
         worst_ind = max(worst_ind, float(np.max(np.abs(z))))
     rng = seeded_rng(seed, _KEY_INTERP)
-    goals = (rng.standard_normal((targets, m))
-             + 1j * rng.standard_normal((targets, m))) / np.sqrt(2.0)
+    goals = _complex_normal(rng, (targets, m))
     worst_err = 0.0
     for goal in goals:
         w = interpolate(algebra, space, goal)
@@ -118,8 +117,7 @@ def _nilpotency_suite(algebra: Algebra, space: CharacterSpace, rad,
     for col in rad.basis.T:
         xs.append(col)
     if rad.dim:
-        mix = (rng.standard_normal((samples, rad.dim))
-               + 1j * rng.standard_normal((samples, rad.dim))) / np.sqrt(2.0)
+        mix = _complex_normal(rng, (samples, rad.dim))
         xs.extend(rad.basis @ z for z in mix)
     mismatches = 0
     for x in xs:

@@ -1,5 +1,7 @@
 """Convolution algebras of abelian groups and centers of general ones."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,12 +10,14 @@ from gelfand import (
     CountMismatch,
     InvalidGroup,
     LengthMismatch,
+    PropertyViolated,
     characters,
     polynomial_quotient,
     radical,
     seeded_rng,
 )
 from gelfand.groups import (
+    _class_sum_algebra,
     abelian_characters,
     abelian_group,
     abelian_group_algebra,
@@ -184,6 +188,28 @@ def test_finite_group_validation_errors():
     assert exc.value.details["law"] == "identity"
 
 
+def test_latin_check_reports_column_before_next_row():
+    # row 0 is a permutation, column 0 and row 1 both repeat an entry; the
+    # scan goes row 0, column 0, row 1, ... so column 0 is reported
+    with pytest.raises(InvalidGroup) as exc:
+        finite_group([[0, 1, 2], [0, 2, 2], [2, 0, 1]])
+    assert exc.value.details == {"law": "latin", "column": 0}
+
+
+def test_inverse_check_names_first_one_sided_element():
+    # a Latin square with two-sided identity 0 in which some right inverse
+    # is not a left inverse
+    table = [[0, 1, 2, 3, 4],
+             [1, 0, 3, 4, 2],
+             [2, 3, 4, 0, 1],
+             [3, 4, 1, 2, 0],
+             [4, 2, 0, 1, 3]]
+    with pytest.raises(InvalidGroup) as exc:
+        finite_group(table)
+    first = next(g for g in range(5) if table[table[g].index(0)][g] != 0)
+    assert exc.value.details == {"law": "inverse", "element": first}
+
+
 def test_finite_group_rejects_nonassociative_loop():
     # a Latin square with two-sided identity and inverses that is not a group:
     # (1*1)*2 = 2 but 1*(1*2) = 4
@@ -225,15 +251,45 @@ def test_conjugacy_classes_match_union_find_oracle(maker):
     assert list(part.classes) == oracle
 
 
-def test_abelian_cayley_table_gives_singleton_classes_and_full_algebra():
-    table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
-    group = finite_group(table)
+def test_relabeled_s4_classes_match_union_find_oracle():
+    perms = list(itertools.permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    label = seeded_rng(71).permutation(len(perms))
+    table = [[0] * 24 for _ in range(24)]
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            table[label[i]][label[j]] = int(label[index[tuple(p[x] for x in q)]])
+    group = finite_group(table, identity=int(label[0]))
     part = conjugacy_classes(group)
-    assert part.sizes == (1, 1, 1, 1)
+    assert sorted(part.sizes) == [1, 3, 6, 6, 8]
+    oracle = union_find_classes(group.cayley.tolist(), group.inverse.tolist())
+    assert list(part.classes) == oracle
+
+
+@pytest.mark.parametrize("factors", [[4], [2, 3], [4, 4], [2, 2, 2]])
+def test_abelian_cayley_table_gives_singleton_classes_and_full_algebra(factors):
+    abelian = abelian_group(factors)
+    elems = abelian.elements()
+    group = finite_group([[abelian.index(abelian.add(a, b)) for b in elems]
+                          for a in elems])
+    part = conjugacy_classes(group)
+    assert part.sizes == (1,) * abelian.order
     center, center_star = center_algebra(group)
-    full, full_star = abelian_group_algebra(abelian_group([4]))
+    full, full_star = abelian_group_algebra(abelian)
     assert np.array_equal(center.structure_constants, full.structure_constants)
+    assert np.array_equal(center.unit, full.unit)
     assert np.array_equal(center_star.action, full_star.action)
+
+
+def test_class_sums_of_a_non_class_partition_are_rejected():
+    # Z6 with {1, 2} and {4, 5} merged into "classes": products with {0}
+    # are even, and {1, 2} + {1, 2} hits 2 and 4 once but 1 and 5 never,
+    # so the first uneven pair is (1, 1) and classes 1 and 3 witness it
+    group = finite_group([[(i + j) % 6 for j in range(6)] for i in range(6)])
+    with pytest.raises(PropertyViolated) as exc:
+        _class_sum_algebra(group.cayley, group.inverse, np.array([0, 1, 1, 2, 3, 3]),
+                           group.identity, ["z0", "z1", "z3", "z4"])
+    assert exc.value.details == {"pair": [1, 1], "witness_class": 1}
 
 
 def test_s3_center_characters_frozen():

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gelfand import (
-    NotAssociative,
     NotCommutative,
     NotMember,
     PropertyViolated,
@@ -186,11 +185,12 @@ def test_noncommuting_generator_rejected():
 
 def test_nearly_commuting_generators_fail_loudly():
     # the commutator 8e-9 passes the commutation check, yet the closure
-    # outgrows d = 2 directions and spans all 2x2 matrices, whose symmetrized
-    # product is not associative
+    # would outgrow the d = 2 directions a commutative algebra on C^2 spans
     t = np.diag([3.0, 4.0]) + 8e-9 * np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NotAssociative):
+    with pytest.raises(NotCommutative) as exc:
         generate_star_subalgebra(euclidean(2), [np.diag([1.0, 2.0]), t])
+    assert "generator 1" in exc.value.details["pair"]
+    assert exc.value.details["residual"] <= exc.value.details["tolerance"]
 
 
 def test_coords_roundtrip_and_membership():

@@ -545,3 +545,21 @@ def test_characters_peak_memory_is_below_cubic():
         tracemalloc.stop()
     assert len(space) == n
     assert peak < n**3 * 16
+
+
+def test_fortran_order_tensor_is_stored_in_c_order():
+    # validate copies its input in C order; a Fortran-order copy kept as is
+    # makes the slices of c that characters reads strided, and the peak of
+    # characters on Z_64 rises above the cubic bound
+    n = 64
+    alg, _ = abelian_group_algebra(abelian_group((n,)))
+    alg = validate(np.asfortranarray(alg.structure_constants), alg.unit)
+    assert alg.structure_constants.flags.c_contiguous
+    tracemalloc.start()
+    try:
+        space = characters(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(space) == n
+    assert peak < n**3 * 16
