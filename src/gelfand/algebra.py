@@ -56,6 +56,28 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def _joint_eigenbasis(mats: np.ndarray, rng: np.random.Generator
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One unitary eigenbasis for a stack of matrices, and the stack in it.
+
+    Draws complex normal weights g, forms A = sum_i g_i mats[i] and takes
+    the unitary eigenbasis U of the Hermitian H = A + Aᴴ by one ``eigh``.
+    Returns U, the read-only diagonals of Uᴴ mats[i] U, one row per matrix,
+    and Uᴴ mats U with those diagonals zeroed.  For a commuting normal
+    family the rows are its joint eigenvalues and the off-diagonal part is
+    rounding, unless H's eigenvalues fail to separate distinct joint
+    eigenvalues, which a generic g makes unlikely.
+    """
+    g = _complex_normal(rng, len(mats))
+    a = np.tensordot(g, mats, axes=(0, 0))
+    _, u = np.linalg.eigh(a + a.conj().T)
+    t = u.conj().T @ mats @ u
+    diag = _readonly(np.diagonal(t, axis1=1, axis2=2))
+    k = np.arange(u.shape[0])
+    t[:, k, k] = 0.0
+    return u, diag, t
+
+
 def _worst_entry(slices) -> tuple[float, tuple[int, ...]]:
     """Largest entry over a sequence of residual arrays, and where it is.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, _readonly, _worst_entry
+from .algebra import Algebra, _joint_eigenbasis, _worst_entry
 from .errors import ContractionViolated, InvalidNorm
 from .spectrum import DEFAULT_SEED, CharacterSpace, seeded_rng
 
@@ -92,15 +92,9 @@ def operator_norm(algebra: Algebra) -> AlgebraNorm:
     of the slack to rounding.  A non-normal family, or an H with a repeated
     eigenvalue, leaves off-diagonal mass far above it.
     """
-    c = algebra.structure_constants
-    g = algebra.random_elements(1, seeded_rng(DEFAULT_SEED, 9))[0]
-    a = np.tensordot(g, c, axes=(0, 0))
-    _, u = np.linalg.eigh(a + a.conj().T)
-    t = u.conj().T @ c @ u
-    diag = _readonly(np.diagonal(t, axis1=1, axis2=2))
-    k = np.arange(algebra.dim)
-    t[:, k, k] = 0.0
-    bound = float(np.linalg.norm(algebra.unit)) * float(np.linalg.norm(t))
+    _, diag, off = _joint_eigenbasis(algebra.structure_constants,
+                                     seeded_rng(DEFAULT_SEED, 9))
+    bound = float(np.linalg.norm(algebra.unit)) * float(np.linalg.norm(off))
     if bound > CONTRACTION_SLACK / 10:
         return AlgebraNorm(kind=NORM_REGULAR, algebra=algebra)
     return AlgebraNorm(kind=NORM_REGULAR, algebra=algebra, joint_eigenvalues=diag)

@@ -2,15 +2,18 @@
 
 The inner product is ⟨v, w⟩ = wᴴ G v for a Hermitian positive-definite
 Gram matrix G, so the adjoint of T is G⁻¹ Tᴴ G.  A star subalgebra is
-generated from matrices by closing the identity under multiplication by
-the generators and their adjoints, one round of products at a time, in a
-basis orthonormal in the G inner product ⟨A, B⟩_G = tr(B* A).  The
-closure is re-expressed as an abstract structure-constant algebra with
-its induced involution, which lets every abstract tool (characters,
-radical, norms) run on concrete operators.  The headline facts checked
-here: a certified operator algebra has trivial radical, its characters
-biject with joint eigenvalues, and the adjoint turns into complex
-conjugation under the transform.
+generated from commuting normal matrices in their joint eigenbasis, where
+it is a space of functions on the d eigenvectors: products are pointwise,
+the adjoint is conjugation, and the G inner product ⟨A, B⟩_G = tr(B* A)
+is the inner product of C^d.  The closure grows the constant function by
+pointwise products with the generators' joint eigenvalues and their
+conjugates, one round at a time, in an orthonormal basis.  It is
+re-expressed as an abstract structure-constant algebra with its induced
+involution, which lets every abstract tool (characters, radical, norms)
+run on concrete operators.  The headline facts checked here: a certified
+operator algebra has trivial radical, its characters biject with joint
+eigenvalues, and the adjoint turns into complex conjugation under the
+transform.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import Algebra, _readonly, validate
+from .algebra import Algebra, _joint_eigenbasis, _readonly, validate
 from .errors import (
     NotCommutative,
     NotMember,
@@ -29,7 +32,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .involution import Involution, involution
-from .spectrum import DEFAULT_SEED, characters, radical
+from .spectrum import DEFAULT_SEED, characters, radical, seeded_rng
 
 #: relative tolerance on  G = Gᴴ
 GRAM_HERMITIAN_TOL = 1e-12
@@ -64,19 +67,20 @@ class InnerProductSpace:
 
     @property
     def condition(self) -> float:
-        lo, hi = self._eig_range()
-        return hi / lo
+        evals = self._eigh[0]
+        return float(evals[-1] / evals[0])
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """The one eigendecomposition of G, ascending eigenvalues first."""
+        return np.linalg.eigh(self.gram)
 
     @cached_property
     def _whitening(self) -> tuple[np.ndarray, np.ndarray]:
-        """W = G^½ and W⁻¹, from one eigendecomposition of G."""
-        evals, vecs = np.linalg.eigh(self.gram)
+        """W = G^½ and W⁻¹."""
+        evals, vecs = self._eigh
         root = np.sqrt(evals)
         return (vecs * root) @ vecs.conj().T, (vecs / root) @ vecs.conj().T
-
-    def _eig_range(self) -> tuple[float, float]:
-        eigs = np.linalg.eigvalsh(self.gram)
-        return float(eigs[0]), float(eigs[-1])
 
     def __repr__(self) -> str:
         return f"InnerProductSpace(dim={self.dim})"
@@ -210,24 +214,37 @@ def generate_star_subalgebra(space: InnerProductSpace,
     makes the whole closure commutative.  The closure runs in the whitened
     frame T -> W T W⁻¹, W = G^½, where the G-adjoint is the conjugate
     transpose and the G inner product tr(B* A) is the Frobenius pairing.
-    A span that holds I and is closed under left multiplication by every
-    generator and adjoint holds every word in them, so it is the unital
-    star algebra they generate.  The basis starts at I/√d, which puts the
-    abstract unit on basis index 0, and grows by rounds: the first front is
-    the generators and their adjoints, and each later front is every
-    generator and adjoint times every direction the previous round
-    accepted.  A front is projected off the basis in two passes of
-    classical Gram-Schmidt over the flattened (rows, d²) stack, rows at or
-    below the closure threshold are dropped, and the rest are
-    orthonormalized one by one against the directions of their own round.
-    A commutative star-closed algebra on C^d is simultaneously
-    diagonalizable, so it spans at most d directions, and the basis stack
-    holds d matrices.  A round that would accept a (d+1)-th direction
-    means the generators commute only to within the commutation
-    tolerance; it raises :class:`NotCommutative` naming the pair of
-    generators and adjoints with the largest commutator relative to its
-    tolerance.  ``basis_ops`` is W⁻¹ B W for the whitened basis B, with
-    index 0 set to exactly I/√d.
+    There the generators are a commuting normal family, diagonal in one
+    unitary eigenbasis U of a generic Hermitian combination of them, and
+    U diag(v) Uᴴ -> v carries the algebra onto functions on the d
+    eigenvectors: the Frobenius pairing becomes the inner product of C^d,
+    products become pointwise and the adjoint becomes conjugation.  Row g
+    of the joint eigenvalues is the diagonal of Uᴴ W_g U.  A generator
+    whose off-diagonal Frobenius norm there exceeds the closure threshold
+    has no common eigenbasis with the others, although it passed the
+    commutation tolerance; this raises :class:`NotCommutative` naming the
+    pair of generators and adjoints with the largest commutator relative
+    to its tolerance.
+
+    A span that holds the constant vector and is closed under pointwise
+    multiplication by every row and its conjugate holds every word in
+    them, so it is the unital star algebra they generate.  The basis
+    starts at 1/√d, which puts the abstract unit on basis index 0, and
+    grows by rounds: the first front is the rows and their conjugates, and
+    each later front is every row and conjugate times every direction the
+    previous round accepted.  A front is projected off the basis in two
+    passes of classical Gram-Schmidt and rows at or below the closure
+    threshold are dropped.  The rest are accepted one by one, each again
+    projected twice off the whole basis, its own round's directions
+    included: a row that shrinks far below its size there would otherwise
+    keep the rounding of its earlier projection, and near-coincident
+    joint eigenvalues give exactly such rows.  For the orthonormal rows
+    v_k the structure constants are c[i, j, k] = sum_p v_i v_j conj(v_k)
+    and the star is conj(V Vᵀ); both products and conjugates must
+    re-expand within the expansion tolerance.  ``expansion_residual`` is
+    the worst of those leftovers and of the generators' off-diagonal
+    norms.  ``basis_ops`` is W⁻¹ U diag(v_k) Uᴴ W, with index 0 set to
+    exactly I/√d.
     """
     d = space.dim
     gens = tuple(_readonly(_operator(space, g)) for g in generators)
@@ -237,13 +254,23 @@ def generate_star_subalgebra(space: InnerProductSpace,
     root, root_inv = space._whitening
     white = np.array([root @ g @ root_inv for g in gens],
                      dtype=np.complex128).reshape(-1, d, d)
-    white = np.concatenate([white, white.conj().transpose(0, 2, 1)])
-    identity = np.eye(d, dtype=np.complex128).reshape(-1)
-    limit = d * d
-    basis = np.empty((d, limit), dtype=np.complex128)
-    basis[0] = identity / np.sqrt(d)
+    u, rows, off = _joint_eigenbasis(white, seeded_rng(DEFAULT_SEED, 10))
+    worst = float(np.max(np.linalg.norm(off, axis=(1, 2)), initial=0.0))
+    largest = float(np.max(np.linalg.norm(white, axis=(1, 2)), initial=0.0))
+    if worst > CLOSURE_TOL * (1.0 + largest):
+        name_a, name_b, comm, comm_tol = max(pairs, key=lambda p: p[2] / p[3])
+        raise NotCommutative(
+            f"the generators share no eigenbasis (off-diagonal residual "
+            f"{worst:.3e}); {name_a} and {name_b} commute only to "
+            f"{comm:.3e} (tolerance {comm_tol:.3e})",
+            pair=[name_a, name_b], residual=comm, tolerance=comm_tol)
+
+    rows = np.concatenate([rows, rows.conj()])
+    # at most d orthonormal directions exist in C^d
+    basis = np.empty((d, d), dtype=np.complex128)
+    basis[0] = 1.0 / np.sqrt(d)
     m = 1
-    front = white.reshape(-1, limit)
+    front = rows
     scale = 1.0
     while len(front):
         scale = max(scale, float(np.max(np.linalg.norm(front, axis=1))))
@@ -253,63 +280,39 @@ def generate_star_subalgebra(space: InnerProductSpace,
         start = m
         for row in front[np.linalg.norm(front, axis=1) > tol]:
             for _ in range(2):
-                row = _project_out(basis[start:m], row)[1]
+                row = _project_out(basis[:m], row)[1]
             size = float(np.linalg.norm(row))
-            if size <= tol:
-                continue
-            if m == d:
-                name_a, name_b, comm, comm_tol = max(pairs, key=lambda p: p[2] / p[3])
-                raise NotCommutative(
-                    f"the closure outgrows the {d} directions of a commutative "
-                    f"algebra on C^{d}; {name_a} and {name_b} commute only to "
-                    f"{comm:.3e} (tolerance {comm_tol:.3e})",
-                    pair=[name_a, name_b], residual=comm, tolerance=comm_tol)
-            basis[m] = row / size
-            m += 1
-        # [B_a | B_b | ...] for the k new directions, so one GEMM forms every
-        # generator and adjoint times every one of them
-        k = m - start
-        fresh = basis[start:m].reshape(k, d, d).transpose(1, 0, 2).reshape(d, -1)
-        front = ((white.reshape(-1, d) @ fresh).reshape(len(white), d, k, d)
-                 .transpose(0, 2, 1, 3).reshape(-1, limit))
+            if size > tol:
+                basis[m] = row / size
+                m += 1
+        front = (rows[:, np.newaxis] * basis[start:m]).reshape(-1, d)
 
-    ops = basis[:m]
-    mats = ops.reshape(m, d, d)
-    cols = mats.transpose(1, 0, 2).reshape(d, m * d)       # [B_0 | B_1 | ...]
-    c = np.zeros((m, m, m), dtype=np.complex128)
-    worst = 0.0
-    for i in range(m):
-        # symmetrized products of B_i with every B_j, j >= i, flattened
-        right = (mats[i] @ cols[:, i * d:]).reshape(d, m - i, d).transpose(1, 0, 2)
-        prod = 0.5 * ((mats[i:].reshape(-1, d) @ mats[i]).reshape(m - i, d, d) + right)
-        prod = prod.reshape(m - i, limit)
-        coeff, gaps = _expand(ops, prod)
-        worst = max(worst, float(np.max(gaps)))
-        bad = np.flatnonzero(gaps > EXPANSION_TOL * (1.0 + np.linalg.norm(prod, axis=1)))
-        if len(bad):
-            gap = float(gaps[bad[0]])
-            raise PropertyViolated(
-                f"product of basis ops ({i}, {i + bad[0]}) does not re-expand in "
-                f"the closure (residual {gap:.3e})",
-                pair=[i, i + int(bad[0])], residual=gap)
-        c[i, i:] = coeff
-        c[i:, i] = coeff
-    embedded = validate(c, _expand(ops, identity)[0])
-
-    adj = mats.conj().transpose(0, 2, 1).reshape(m, limit)
-    coeff, gaps = _expand(ops, adj)
-    s = coeff.T
-    worst = max(worst, float(np.max(gaps)))
-    bad = np.flatnonzero(gaps > EXPANSION_TOL * (1.0 + np.linalg.norm(adj, axis=1)))
+    v = basis[:m]
+    prods = v[:, np.newaxis] * v                      # pointwise, (m, m, d)
+    c, gaps = _expand(v, prods.reshape(-1, d))
+    gaps = gaps.reshape(m, m)
+    excess = gaps > EXPANSION_TOL * (1.0 + np.linalg.norm(prods, axis=2))
+    bad = np.argwhere(np.triu(excess))
     if len(bad):
-        gap = float(gaps[bad[0]])
+        i, j = (int(k) for k in bad[0])
+        raise PropertyViolated(
+            f"product of basis ops ({i}, {j}) does not re-expand in "
+            f"the closure (residual {gaps[i, j]:.3e})",
+            pair=[i, j], residual=float(gaps[i, j]))
+    embedded = validate(c.reshape(m, m, m), _expand(v, np.ones(d))[0])
+
+    coeff, gaps_star = _expand(v, v.conj())
+    bad = np.flatnonzero(gaps_star > EXPANSION_TOL * (1.0 + np.linalg.norm(v, axis=1)))
+    if len(bad):
+        gap = float(gaps_star[bad[0]])
         raise PropertyViolated(
             f"adjoint of basis op {bad[0]} does not re-expand in the closure "
             f"(residual {gap:.3e})",
             index=int(bad[0]), residual=gap)
-    star = involution(embedded, s)
-    out = root_inv @ mats @ root
-    out[0] = identity.reshape(d, d) / np.sqrt(d)
+    star = involution(embedded, coeff.T)
+    worst = max(worst, float(np.max(gaps)), float(np.max(gaps_star)))
+    out = root_inv @ ((u * v[:, np.newaxis]) @ u.conj().T) @ root
+    out[0] = np.eye(d) / np.sqrt(d)
     return OperatorAlgebra(space=space, generators=gens, basis_ops=_readonly(out),
                            algebra=embedded, star=star, expansion_residual=worst)
 

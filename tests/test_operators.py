@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gelfand import (
@@ -184,13 +186,37 @@ def test_noncommuting_generator_rejected():
 
 
 def test_nearly_commuting_generators_fail_loudly():
-    # the commutator 8e-9 passes the commutation check, yet the closure
-    # would outgrow the d = 2 directions a commutative algebra on C^2 spans
+    # the commutator 8e-9 passes the commutation check, yet in the joint
+    # eigenbasis generator 1 keeps an off-diagonal residual above the
+    # closure threshold, so the two share no eigenbasis
     t = np.diag([3.0, 4.0]) + 8e-9 * np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NotCommutative) as exc:
         generate_star_subalgebra(euclidean(2), [np.diag([1.0, 2.0]), t])
     assert "generator 1" in exc.value.details["pair"]
     assert exc.value.details["residual"] <= exc.value.details["tolerance"]
+
+
+def test_generator_just_outside_the_closure_shows_in_expansion_residual():
+    # at 2e-9 the off-diagonal residual is below the closure threshold, so
+    # the closure is built, and the residual is reported, not hidden
+    t = np.diag([3.0, 4.0]) + 2e-9 * np.array([[0.0, 1.0], [0.0, 0.0]])
+    opalg = generate_star_subalgebra(euclidean(2), [np.diag([1.0, 2.0]), t])
+    assert opalg.dim == 2
+    assert opalg.expansion_residual >= 1e-9
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-7])
+def test_close_eigenvalues_of_a_normal_generator_are_resolved(gap):
+    # G-normal, Gram condition 100, eigenvalues 0 and gap among 8 spread ones
+    for seed in range(3):
+        rng = seeded_rng(seed, 97)
+        u = unitary(8, rng)
+        space = inner_product_space((u * np.geomspace(1.0, 100.0, 8)) @ u.conj().T)
+        eigs = np.arange(8) * (0.5 + 0.25j)
+        eigs[1] = gap
+        opalg = generate_star_subalgebra(space, [planted_normal(space, eigs, rng)])
+        assert opalg.dim == 8
+        assert verify_gelfand_isomorphism(opalg).passed
 
 
 def test_coords_roundtrip_and_membership():
@@ -369,3 +395,43 @@ def test_repeated_eigenvalues_give_a_smaller_closure():
     opalg = generate_star_subalgebra(space, [t])
     assert opalg.dim == 3
     assert verify_gelfand_isomorphism(opalg).character_count == 3
+
+
+def planted_family(seed):
+    """(space, generators, distinct tuple count) of a commuting normal family.
+
+    The joint eigenvalue tuples are distinct points of a 4 x 4 complex grid
+    of spacing 0.5 in each coordinate, each used at least once on the d
+    eigenvectors, so tuples repeat, and with several generators one of them
+    often repeats an eigenvalue that the others split.
+    """
+    rng = seeded_rng(seed, 101)
+    d = int(rng.integers(2, 17))
+    count = int(rng.integers(1, 4))
+    grid = (np.arange(4)[:, None] + 1j * np.arange(4)).ravel() * 0.5 - (0.75 + 0.75j)
+    distinct = int(rng.integers(1, d + 1))
+    codes = rng.choice(16 ** count, size=distinct, replace=False)
+    digits = (codes[:, None] // 16 ** np.arange(count)) % 16
+    tuples = grid[digits]                                   # (distinct, count)
+    which = np.concatenate([np.arange(distinct),
+                            rng.integers(0, distinct, d - distinct)])
+    eigs = tuples[rng.permutation(which)]                   # (d, count)
+    u = unitary(d, rng)
+    cond = 10.0 ** rng.uniform(0.0, 4.0)
+    space = inner_product_space((u * np.geomspace(1.0, cond, d)) @ u.conj().T)
+    frame = unitary(d, rng)
+    w, _ = gram_root(space.gram)
+    gens = [np.linalg.solve(w, (frame * eigs[:, g]) @ frame.conj().T) @ w
+            for g in range(count)]
+    return space, gens, distinct
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_planted_commuting_families_close_to_their_joint_spectrum(seed):
+    space, gens, distinct = planted_family(seed)
+    opalg = generate_star_subalgebra(space, gens)
+    assert opalg.dim == distinct
+    assert verify_gelfand_isomorphism(opalg).passed
+    report = involution_suite(opalg.star, characters(opalg.algebra))
+    assert report["star_roundtrip_residual"] <= 1e-12
