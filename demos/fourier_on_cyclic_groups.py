@@ -16,9 +16,9 @@ algebra, star = abelian_group_algebra(group)
 space = characters(algebra)
 print(f"Z_8: {len(space)} characters on an algebra of dim {algebra.dim}")
 
-# Every character value is an eighth root of unity; stacking the value
-# vectors recovers the DFT matrix up to row order.
-table = np.array([phi.values for phi in space])
+# Every character value is an eighth root of unity; the character table
+# is the DFT matrix up to row order.
+table = space.matrix()
 omega = np.exp(2j * np.pi / 8)
 dft = np.array([[omega ** (j * k) for k in range(8)] for j in range(8)])
 matched = sum(

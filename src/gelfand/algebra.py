@@ -273,7 +273,7 @@ def validate(structure_constants, unit, basis_names=None) -> Algebra:
                    basis_names=basis_names, certificate=cert, scale=scale)
 
 
-def polynomial_quotient(lower_coeffs, var: str = "t") -> Algebra:
+def polynomial_quotient(lower_coeffs) -> Algebra:
     """The quotient C[t]/(p) in the monomial basis {1, t, ..., t^(deg-1)}.
 
     ``lower_coeffs`` are the non-leading coefficients of the monic polynomial
@@ -300,7 +300,7 @@ def polynomial_quotient(lower_coeffs, var: str = "t") -> Algebra:
             c[i, j] = powers[i + j]
     unit = np.zeros(n, dtype=np.complex128)
     unit[0] = 1.0
-    names = ["1"] + [var if m == 1 else f"{var}^{m}" for m in range(1, n)]
+    names = ["1"] + ["t" if m == 1 else f"t^{m}" for m in range(1, n)]
     return validate(c, unit, names)
 
 

@@ -140,7 +140,7 @@ def _cmd_interpolate(doc, ns) -> dict:
     goal = parse_vector(raw, len(space), "targets")
     tol = 1e-7 if ns.tol is None else ns.tol
     w = interpolate(algebra, space, goal)
-    err = float(np.max(np.abs(space.transform(w) - goal))) if len(space) else 0.0
+    err = float(np.max(np.abs(space.transform(w) - goal), initial=0.0))
     return {
         "count": len(space),
         "element": vector_payload(w),

@@ -154,8 +154,7 @@ def random_operator_fixture(seed: int, max_dim: int = 6) -> OperatorFixture:
             break
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     u, _ = np.linalg.qr(z)
-    evals, vecs = np.linalg.eigh(space.gram)
-    w = (vecs * np.sqrt(evals)) @ vecs.conj().T
+    w = space._whitening[0]
     t = np.linalg.solve(w, (u * eigs) @ u.conj().T) @ w
     eigs = np.asarray(eigs)
     eigs.setflags(write=False)

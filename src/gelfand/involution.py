@@ -178,9 +178,7 @@ def radical_selfadjoint_span_check(inv: Involution,
         x1, x2 = selfadjoint_parts(inv, rad.basis[:, col])
         for part in (x1, x2):
             checked += 1
-            if len(space) == 0:
-                continue
-            resid = float(np.max(np.abs(space.transform(part))))
+            resid = float(np.max(np.abs(space.transform(part)), initial=0.0))
             worst = max(worst, resid)
             if resid > tol:
                 raise PropertyViolated(

@@ -66,7 +66,7 @@ class AlgebraNorm:
             stack = np.tensordot(xs, self.algebra.structure_constants, axes=(1, 0))
             return np.linalg.norm(stack, 2, axis=(1, 2))
         if self.kind == NORM_SUP:
-            return np.max(np.abs(xs @ self.space.matrix().T), axis=1)
+            return np.max(np.abs(xs @ self.space.values.T), axis=1)
         return np.abs(xs) @ self.weights
 
     def __repr__(self) -> str:

@@ -100,15 +100,15 @@ def inner_product_space(gram) -> InnerProductSpace:
         raise PropertyViolated(
             f"Gram matrix is not Hermitian (asymmetry {gap:.3e})",
             law="hermitian", residual=gap)
-    g = 0.5 * (g + g.conj().T)
-    eigs = np.linalg.eigvalsh(g)
+    space = InnerProductSpace(gram=_readonly(0.5 * (g + g.conj().T)))
+    eigs = space._eigh[0]
     lo, hi = float(eigs[0]), float(eigs[-1])
     if lo <= GRAM_DEFINITE_FLOOR * max(hi, 0.0):
         raise PropertyViolated(
             f"Gram matrix is not safely positive definite "
             f"(eigenvalues span [{lo:.3e}, {hi:.3e}])",
             law="positive-definite", smallest=lo, largest=hi)
-    return InnerProductSpace(gram=_readonly(g))
+    return space
 
 
 def adjoint(space: InnerProductSpace, t) -> np.ndarray:
@@ -425,7 +425,7 @@ def verify_gelfand_isomorphism(opalg: OperatorAlgebra,
             clause="count", characters=len(space), dim=embedded.dim)
     tol = embedded.eps_char
     s = opalg.star.action
-    values = space.matrix().T       # column k holds character k on each basis op
+    values = space.values.T  # column k holds character k on each basis op
     # row i of Sᵀ V holds phi(adjoint(q_i)) for every character phi
     conj_worst = float(np.max(np.abs(s.T @ values - np.conj(values))))
     self_adjoint = np.max(np.abs(s - np.eye(embedded.dim)), axis=0) <= tol

@@ -188,7 +188,7 @@ def character_table_payload(space, rad) -> dict:
     """The character-table report block: count, value rows, residuals."""
     return {
         "count": len(space),
-        "characters": [vector_payload(ch.values) for ch in space],
+        "characters": [vector_payload(row) for row in space.values],
         "residual": float(space.worst_residual),
         "radical_dim": int(rad.dim),
     }

@@ -12,15 +12,23 @@ diagonalizable with eigenvalues phi(g), and reads every character off its
 eigenvectors.  The whole candidate set is certified in one scan per basis
 index (:func:`character_residuals`) and sorted with one ``lexsort``.
 Nothing uncertified is ever returned.
+
+The Gelfand transform x -> (phi -> phi(x)) is one (characters x basis)
+table applied to coordinate vectors.  :class:`CharacterSpace` stores that
+table once, as a read-only complex (count, dim) array with a (count,)
+array of residuals, and the transform, the radical (its null space),
+interpolation (one least-squares solve against it) and every other
+consumer read the stored array.  An empty table has shape (0, dim).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import Algebra, _complex_normal
+from .algebra import Algebra, _complex_normal, _readonly
 from .errors import (
     CertificationFailed,
     DimensionMismatch,
@@ -72,32 +80,51 @@ class Character:
 
 @dataclass(frozen=True, eq=False)
 class CharacterSpace:
-    """All characters of an algebra, certified, deduplicated and sorted."""
+    """All characters of an algebra, certified, deduplicated and sorted.
+
+    The certified table is stored once: ``values`` is a read-only complex
+    (count, dim) array whose row k holds phi_k(b_i), and ``residuals`` the
+    read-only (count,) array of their certificates.  The Gelfand transform,
+    the sup norm, the radical and interpolation all read that array;
+    ``characters`` is a cached tuple of :class:`Character` views of its rows,
+    and ``delta_sep`` is the separation threshold of the rows.
+    """
 
     algebra: Algebra
-    characters: tuple[Character, ...]
-    delta_sep: float
-    seed: int
+    values: np.ndarray
+    residuals: np.ndarray
 
     def __post_init__(self):
-        m = len(self.characters)
-        if m > self.algebra.dim:
+        n = self.algebra.dim
+        values = _readonly(self.values).reshape(len(self.values), n)
+        residuals = np.array(self.residuals, dtype=np.float64).reshape(len(values))
+        residuals.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "residuals", residuals)
+        m = len(values)
+        if m > n:
             raise PropertyViolated(
-                f"{m} characters on a {self.algebra.dim}-dimensional algebra",
-                count=m, dim=self.algebra.dim)
-        values = self.matrix()
-        for a in range(m):
-            gaps = np.max(np.abs(values[a] - values[a + 1:]), axis=1)
-            close = np.flatnonzero(gaps < self.delta_sep)
-            if close.size:
-                b, gap = a + 1 + int(close[0]), float(gaps[close[0]])
-                raise PropertyViolated(
-                    f"characters {a} and {b} are only {gap:.3e} apart "
-                    f"(separation threshold {self.delta_sep:.3e})",
-                    pair=[a, b], distance=gap, delta_sep=self.delta_sep)
+                f"{m} characters on a {n}-dimensional algebra", count=m, dim=n)
+        close = _first_close_pair(values, self.delta_sep)
+        if close is not None:
+            a, b, gap = close
+            raise PropertyViolated(
+                f"characters {a} and {b} are only {gap:.3e} apart "
+                f"(separation threshold {self.delta_sep:.3e})",
+                pair=[a, b], distance=gap, delta_sep=self.delta_sep)
+
+    @cached_property
+    def delta_sep(self) -> float:
+        """Distinct rows lie at least this far apart in the max norm."""
+        return separation_threshold(self.values)
+
+    @cached_property
+    def characters(self) -> tuple[Character, ...]:
+        return tuple(Character(values=v, residual=float(r))
+                     for v, r in zip(self.values, self.residuals))
 
     def __len__(self) -> int:
-        return len(self.characters)
+        return len(self.values)
 
     def __iter__(self):
         return iter(self.characters)
@@ -106,20 +133,34 @@ class CharacterSpace:
         return self.characters[idx]
 
     def __repr__(self) -> str:
-        return f"CharacterSpace(count={len(self.characters)}, dim={self.algebra.dim})"
+        return f"CharacterSpace(count={len(self)}, dim={self.algebra.dim})"
 
     def matrix(self) -> np.ndarray:
-        """(count, dim) array whose rows are the value vectors."""
-        return np.array([ch.values for ch in self.characters])
+        """The stored (count, dim) array whose rows are the value vectors."""
+        return self.values
 
     @property
     def worst_residual(self) -> float:
-        return max((ch.residual for ch in self.characters), default=0.0)
+        return float(np.max(self.residuals, initial=0.0))
 
     def transform(self, x) -> np.ndarray:
         """Gelfand transform of x: the tuple (phi(x)) over all characters."""
         x = self.algebra.element(x)
-        return self.matrix() @ x
+        return self.values @ x
+
+
+def _first_close_pair(rows: np.ndarray, thresh: float) -> tuple[int, int, float] | None:
+    """The first pair a < b, in (a, b) loop order, of rows closer than thresh.
+
+    Returns (a, b, distance) in the max norm, or None.  One row is compared
+    against all later rows at a time, so the scratch stays O(count * dim).
+    """
+    for a in range(len(rows) - 1):
+        gaps = np.max(np.abs(rows[a] - rows[a + 1:]), axis=1)
+        close = np.flatnonzero(gaps < thresh)
+        if close.size:
+            return a, a + 1 + int(close[0]), float(gaps[close[0]])
+    return None
 
 
 def character_residual(algebra: Algebra, v: np.ndarray) -> float:
@@ -143,8 +184,8 @@ def character_residuals(algebra: Algebra, vectors: np.ndarray) -> np.ndarray:
 
 
 def separation_threshold(vectors) -> float:
-    peak = max((float(np.max(np.abs(v))) for v in vectors), default=0.0)
-    return SEP_BASE * (1.0 + peak)
+    """SEP_BASE * (1 + max|v|) over every entry of an array of rows."""
+    return SEP_BASE * (1.0 + float(np.max(np.abs(vectors), initial=0.0)))
 
 
 def trace_form(algebra: Algebra) -> np.ndarray:
@@ -228,11 +269,8 @@ def characters(algebra: Algebra, seed: int = DEFAULT_SEED,
         keys = np.rint(np.stack([found.real, found.imag], axis=2).reshape(rank, 2 * n)
                        / quantum)
         order = np.lexsort(keys.T[::-1])
-        chars = tuple(Character(values=_freeze(found[a]), residual=float(residuals[a]))
-                      for a in order)
-        return CharacterSpace(algebra=algebra, characters=chars,
-                              delta_sep=separation_threshold([ch.values for ch in chars]),
-                              seed=seed)
+        return CharacterSpace(algebra=algebra, values=found[order],
+                              residuals=residuals[order])
 
     raise CertificationFailed(
         f"character search failed after {retries} attempts: best eigenvalue "
@@ -240,12 +278,6 @@ def characters(algebra: Algebra, seed: int = DEFAULT_SEED,
         f"(eps_char {eps:.3e})",
         retries=retries, eigenvalue_gap=best_gap,
         worst_residual=worst_residual, eps_char=eps)
-
-
-def _freeze(v: np.ndarray) -> np.ndarray:
-    out = np.array(v, dtype=np.complex128, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,16 +304,16 @@ def radical(algebra: Algebra, space: CharacterSpace) -> RadicalSubspace:
     dimension dim - count; no rank cut is needed, and none can mistake a
     character with small values for a radical direction.
     """
-    phi = space.matrix()
+    phi = space.values
     n = algebra.dim
     vh = np.linalg.svd(phi)[2]
     basis = vh[len(phi):].conj().T  # (n, n - count), orthonormal
     t_res = 0.0
     p_res = 0.0
     for col in basis.T:
-        t_res = max(t_res, float(np.max(np.abs(phi @ col))) if len(phi) else 0.0)
+        t_res = max(t_res, float(np.max(np.abs(phi @ col), initial=0.0)))
         p_res = max(p_res, float(np.max(np.abs(algebra.power(col, n)))))
-    return RadicalSubspace(algebra=algebra, basis=_freeze(basis),
+    return RadicalSubspace(algebra=algebra, basis=_readonly(basis),
                            transform_residual=t_res, power_residual=p_res)
 
 
@@ -339,16 +371,17 @@ def separating_element(algebra: Algebra, phi: Character, psi: Character) -> np.n
 def indicator_element(algebra: Algebra, chars, phi: Character) -> np.ndarray:
     """Product of separating elements: 1 at phi, 0 at every other member."""
     chars = list(chars)
-    thresh = separation_threshold([ch.values for ch in chars] + [phi.values])
-    for a in range(len(chars)):
-        for b in range(a + 1, len(chars)):
-            if float(np.max(np.abs(chars[a].values - chars[b].values))) < thresh:
-                raise NotDistinct(
-                    f"collection members {a} and {b} coincide within {thresh:.3e}",
-                    pair=[a, b], threshold=thresh)
-    matches = [a for a, ch in enumerate(chars)
-               if float(np.max(np.abs(ch.values - phi.values))) < thresh]
-    if not matches:
+    rows = np.array([psi.values for psi in chars],
+                    dtype=np.complex128).reshape(len(chars), algebra.dim)
+    thresh = max(separation_threshold(rows), separation_threshold(phi.values))
+    close = _first_close_pair(rows, thresh)
+    if close is not None:
+        a, b, _ = close
+        raise NotDistinct(
+            f"collection members {a} and {b} coincide within {thresh:.3e}",
+            pair=[a, b], threshold=thresh)
+    matches = np.flatnonzero(np.max(np.abs(rows - phi.values), axis=1) < thresh)
+    if not matches.size:
         raise NotMember("phi does not occur in the collection",
                         threshold=thresh)
     z = algebra.unit.copy()
@@ -380,7 +413,7 @@ def interpolate(algebra: Algebra, space: CharacterSpace, targets) -> np.ndarray:
         raise LengthMismatch(
             f"expected {len(space)} target values, got shape {f.shape}",
             expected=len(space), got=list(f.shape))
-    w, _, rank, _ = np.linalg.lstsq(space.matrix(), f, rcond=None)
+    w, _, rank, _ = np.linalg.lstsq(space.values, f, rcond=None)
     if rank < len(space):
         raise PropertyViolated(
             f"character matrix has numerical rank {rank} < {len(space)}",

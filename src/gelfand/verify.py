@@ -44,13 +44,18 @@ from .spectrum import (
     is_nilpotent,
     radical,
     seeded_rng,
-    separation_threshold,
 )
 
 #: stream keys for the sampling loops owned by this module
 _KEY_INTERP = 6
 _KEY_NILP = 7
 _KEY_STAR = 8
+
+#: contraction and homomorphism-norm samples per norm kind in each item
+SAMPLES = 250
+
+#: seeded operator fixtures checked after the corpus
+FIXTURES = 4
 
 TOLERANCES = {
     "assoc_base": ASSOC_BASE,
@@ -122,7 +127,7 @@ def _nilpotency_suite(algebra: Algebra, space: CharacterSpace, rad,
     mismatches = 0
     for x in xs:
         flag, _ = is_nilpotent(algebra, x)
-        flat = float(np.max(np.abs(space.transform(x)))) if len(space) else 0.0
+        flat = float(np.max(np.abs(space.transform(x)), initial=0.0))
         vanishes = flat <= SEP_BASE * (1.0 + float(np.linalg.norm(x)))
         mismatches += flag != vanishes
     return {"samples": len(xs), "mismatches": mismatches,
@@ -130,7 +135,7 @@ def _nilpotency_suite(algebra: Algebra, space: CharacterSpace, rad,
 
 
 def norm_suite(algebra: Algebra, space: CharacterSpace,
-               seed: int = DEFAULT_SEED, samples: int = 250,
+               seed: int = DEFAULT_SEED, samples: int = SAMPLES,
                weights=None) -> dict:
     """Contraction and homomorphism-norm reports for every available kind.
 
@@ -167,8 +172,7 @@ def involution_suite(inv, space: CharacterSpace,
         back = inv.star(inv.star(x))
         gap = float(np.max(np.abs(back - x)))
         worst_round = max(worst_round, gap / (1.0 + float(np.max(np.abs(x)))))
-    thresh = separation_threshold([ch.values for ch in space])
-    values = space.matrix()
+    values, thresh = space.values, space.delta_sep
     conj, _, fixed = _conjugates(inv, values)
     closed = all(float(np.min(np.max(np.abs(psi - values), axis=1))) <= thresh
                  for psi in conj)
@@ -184,8 +188,7 @@ def involution_suite(inv, space: CharacterSpace,
     }
 
 
-def verify_item(item: CorpusItem, seed: int = DEFAULT_SEED,
-                samples: int = 250) -> dict:
+def verify_item(item: CorpusItem, seed: int = DEFAULT_SEED) -> dict:
     """All property suites for one corpus item, as a JSON-ready dict."""
     algebra = item.algebra
     out = {"name": item.name, "dim": algebra.dim}
@@ -201,7 +204,7 @@ def verify_item(item: CorpusItem, seed: int = DEFAULT_SEED,
                                  targets=10)
     out["nilpotency"] = _guarded(_nilpotency_suite, algebra, space, rad, seed,
                                  samples=25)
-    out["norms"] = _guarded(norm_suite, algebra, space, seed, samples)
+    out["norms"] = _guarded(norm_suite, algebra, space, seed, SAMPLES)
     if item.star is not None:
         out["involution"] = _guarded(involution_suite, item.star, space, seed,
                                      samples=25)
@@ -241,18 +244,15 @@ def verify_operator_fixture(fixture_seed: int, seed: int = DEFAULT_SEED) -> dict
     return out
 
 
-def verify_all(seed: int = DEFAULT_SEED, samples: int = 250,
-               fixtures: int = 4) -> dict:
+def verify_all(seed: int = DEFAULT_SEED) -> dict:
     """One report covering the whole corpus plus seeded operator fixtures."""
-    items = [verify_item(item, seed=seed, samples=samples)
-             for item in standard_corpus()]
-    ops = [verify_operator_fixture(seed + k, seed=seed)
-           for k in range(fixtures)]
+    items = [verify_item(item, seed=seed) for item in standard_corpus()]
+    ops = [verify_operator_fixture(seed + k, seed=seed) for k in range(FIXTURES)]
     passed = all(i["passed"] for i in items) and all(o["passed"] for o in ops)
     return {
         "version": __version__,
         "seed": seed,
-        "samples": samples,
+        "samples": SAMPLES,
         "tolerances": dict(TOLERANCES),
         "items": items,
         "operator_fixtures": ops,

@@ -25,7 +25,7 @@ from gelfand.involution import (
     radical_selfadjoint_span_check,
     selfadjoint_parts,
 )
-from gelfand.spectrum import Character, separation_threshold
+from gelfand.spectrum import Character, CharacterSpace, separation_threshold
 from gelfand.verify import involution_suite
 
 from oracles import naive_multiply
@@ -242,6 +242,15 @@ def test_radical_span_check_vacuous_without_radical():
     alg = gaussian_algebra()
     rep = radical_selfadjoint_span_check(coordinate_conjugation(alg), characters(alg))
     assert rep.passed and rep.radical_dim == 0 and rep.checked == 0
+    assert rep.worst_residual == 0.0
+
+
+def test_radical_span_check_on_an_empty_table():
+    alg = dual_numbers()
+    empty = CharacterSpace(algebra=alg, values=np.empty((0, alg.dim)),
+                           residuals=np.empty(0))
+    rep = radical_selfadjoint_span_check(coordinate_conjugation(alg), empty)
+    assert rep.passed and rep.radical_dim == 2 and rep.checked == 4
     assert rep.worst_residual == 0.0
 
 

@@ -24,7 +24,7 @@ from gelfand import (
     weighted_l1_norm,
 )
 from gelfand.norms import CONTRACTION_SLACK
-from gelfand.spectrum import CharacterSpace, separation_threshold
+from gelfand.spectrum import CharacterSpace
 
 
 def parity_algebra():
@@ -161,8 +161,8 @@ def test_sup_norm_rejects_foreign_character_space():
 
 def test_sup_norm_rejects_empty_character_space():
     alg = parity_algebra()
-    empty = CharacterSpace(algebra=alg, characters=(),
-                           delta_sep=separation_threshold(()), seed=0)
+    empty = CharacterSpace(algebra=alg, values=np.empty((0, alg.dim)),
+                           residuals=np.empty(0))
     with pytest.raises(InvalidNorm):
         sup_norm(alg, empty)
 

@@ -36,6 +36,7 @@ from gelfand.spectrum import (
     is_nilpotent,
     radical,
     separating_element,
+    separation_threshold,
 )
 
 from oracles import (
@@ -426,10 +427,40 @@ def test_interpolate_rejects_dependent_characters():
     # space cannot come from characters(), and no element interpolates it
     alg = polynomial_quotient([0, 0, 0])
     rows = [np.array(v, dtype=complex) for v in ([1, 0, 0], [0, 1, 0], [1, 1, 0])]
-    space = CharacterSpace(algebra=alg, seed=0, delta_sep=1e-6,
-                           characters=tuple(Character(values=v, residual=0.0) for v in rows))
+    space = CharacterSpace(algebra=alg, values=rows, residuals=np.zeros(3))
     with pytest.raises(PropertyViolated):
         interpolate(alg, space, [1, 2, 4])
+
+
+def test_empty_table_has_one_row_shape():
+    # a hand-built space without characters is a (0, dim) table, so the
+    # transform is empty, every target list is empty and the whole algebra
+    # is the joint kernel
+    alg = polynomial_quotient([0, 0, 0])
+    space = CharacterSpace(algebra=alg, values=np.empty((0, alg.dim)),
+                           residuals=np.empty(0))
+    assert space.matrix().shape == (0, alg.dim)
+    assert len(space) == 0 and space.worst_residual == 0.0
+    assert space.transform([1, 2, 3]).shape == (0,)
+    assert np.array_equal(interpolate(alg, space, []), np.zeros(alg.dim))
+    rad = radical(alg, space)
+    assert rad.dim == alg.dim and rad.transform_residual == 0.0
+
+
+def test_table_is_stored_once_and_read_only(parity):
+    space = characters(parity)
+    assert space.matrix() is space.values
+    assert not space.values.flags.writeable
+    assert not space.residuals.flags.writeable
+    assert space.values.shape == (2, 2) and space.residuals.shape == (2,)
+    assert space.characters is space.characters
+    for k, phi in enumerate(space):
+        assert phi is space[k]
+        assert np.shares_memory(phi.values, space.values)
+        assert phi.residual == space.residuals[k]
+    assert space.delta_sep == separation_threshold(space.values)
+    with pytest.raises(ValueError):
+        space.values[0, 0] = 5.0
 
 
 def test_separation_check_names_the_first_close_pair():
@@ -441,12 +472,11 @@ def test_separation_check_names_the_first_close_pair():
     first = next((a, b) for a in range(4) for b in range(a + 1, 4)
                  if float(np.max(np.abs(rows[a] - rows[b]))) < 1e-6)
     with pytest.raises(PropertyViolated) as exc:
-        CharacterSpace(algebra=alg, seed=0, delta_sep=1e-6,
-                       characters=tuple(Character(values=v, residual=0.0) for v in rows))
+        CharacterSpace(algebra=alg, values=rows, residuals=np.zeros(4))
     a, b = exc.value.details["pair"]
     assert [a, b] == [0, 3] == list(first)
     assert exc.value.details["distance"] == float(np.max(np.abs(rows[a] - rows[b])))
-    assert exc.value.details["delta_sep"] == 1e-6
+    assert exc.value.details["delta_sep"] == separation_threshold(rows)
 
 
 def _mixed_jet_sum(blocks, seed):
