@@ -13,7 +13,6 @@ import numpy as np
 
 from gelfand import (
     adjoint,
-    characters,
     generate_star_subalgebra,
     inner_product_space,
     interpolate,
@@ -37,16 +36,17 @@ print("adjoint commutes with T:",
 opalg = generate_star_subalgebra(space, [t])
 print(f"closure dimension: {opalg.dim}")
 
-chars = characters(opalg.algebra)
+# The isomorphism check certifies the characters of the closure and
+# hands them back, with the radical stored on them.
+report = verify_gelfand_isomorphism(opalg)
+print("isomorphism certified:", report.passed)
+chars = report.space
 print(f"characters: {len(chars)}, radical dim:",
       radical(opalg.algebra, chars).dim)
 
 # Each character sends the coordinates of T to one eigenvalue.
 values = chars.transform(opalg.coords(t))
 print("character values on T:", np.round(np.sort(values.real), 10))
-
-report = verify_gelfand_isomorphism(opalg)
-print("isomorphism certified:", report.passed)
 
 # Functional calculus: interpolate exp on the spectrum, then map the
 # element back to a matrix.  Compare against the eigendecomposition.

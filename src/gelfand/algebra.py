@@ -9,10 +9,11 @@ together with the coordinate vector of the multiplicative unit.  Elements
 are plain complex128 coordinate vectors of length n; all operations are
 pure functions of immutable data.
 
-``validate`` is the only way to build an :class:`Algebra`.  It checks the
-axioms (commutativity exactly after a bounded symmetrization, associativity
-and the unit law within scaled tolerances), one basis index at a time in
-O(n³) memory, and records the worst residuals found in a
+``validate`` is the only way to build an :class:`Algebra`, for user
+tensors and the library's own builders alike.  It checks the axioms
+(commutativity exactly after a bounded symmetrization, associativity and
+the unit law within scaled tolerances), one basis index at a time in O(n³)
+memory, and records the worst residuals found in a
 :class:`ValidationCertificate`.  Associativity is scanned over triples
 (i, j, l) with i <= l only: by commutativity the residual of (l, j, i) is
 the negative of that of (i, j, l).  A tensor with no imaginary part is
@@ -22,6 +23,7 @@ scanned in real arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,8 +111,16 @@ class ValidationCertificate:
 class Algebra:
     """A validated finite-dimensional commutative unital algebra over C.
 
-    Do not construct directly; use :func:`validate` (or one of the builder
-    helpers such as :func:`polynomial_quotient`).
+    Do not construct directly; :func:`validate` is the only constructor, and
+    the builder helpers (:func:`polynomial_quotient`, the group class-sum
+    algebras) go through it too.  A class-sum algebra's associativity
+    already follows from its group's, but for a group center the scan is
+    small next to certifying the Cayley table (for S5, about a twentieth
+    of ``finite_group``'s time), so the certificate is made in one place.
+
+    ``trace_form`` is computed once, on first use, and shared by every
+    consumer (:func:`~gelfand.spectrum.characters`,
+    :func:`~gelfand.spectrum.is_nilpotent`).
     """
 
     structure_constants: np.ndarray
@@ -132,6 +142,21 @@ class Algebra:
     def eps_char(self) -> float:
         """Certification tolerance for characters and involutions."""
         return CHAR_BASE * (1.0 + self.scale)
+
+    @cached_property
+    def trace_form(self) -> np.ndarray:
+        """Read-only Gram matrix T[i, j] = tr(L_{b_i} L_{b_j}) of the trace form.
+
+        Since L_{b_i} L_{b_j} = L_{b_i b_j}, the entry is
+        sum_k c[i, j, k] tr(L_{b_k}), one contraction of the tensor with its
+        trace vector.  In characteristic 0, T = sum_phi m_phi v_phi v_phi^T
+        over the characters with their multiplicities, so its range is
+        spanned by the character vectors and its kernel is the radical.
+        """
+        c = self.structure_constants
+        form = c @ np.einsum("kaa->k", c)
+        form.setflags(write=False)
+        return form
 
     def __repr__(self) -> str:  # the tensors are noise in tracebacks
         return f"Algebra(dim={self.dim})"

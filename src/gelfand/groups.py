@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,9 @@ class FiniteAbelianGroup:
     """Direct product of cyclic groups Z_m1 x ... x Z_mr.
 
     Elements are exponent tuples, ordered lexicographically; the empty
-    factor list gives the trivial group.
+    factor list gives the trivial group.  The addition table and the
+    negation, as element indices, are built on first use and then shared
+    by the convolution algebra and :func:`convolve`.
     """
 
     invariant_factors: tuple[int, ...]
@@ -56,6 +59,25 @@ class FiniteAbelianGroup:
     def neg(self, a) -> tuple[int, ...]:
         return tuple((-x) % m for x, m in zip(a, self.invariant_factors))
 
+    @cached_property
+    def addition_table(self) -> np.ndarray:
+        """Read-only (order, order) table of index(a + b), in index order."""
+        table = np.zeros((1, 1), dtype=np.int64)
+        for m in self.invariant_factors:
+            steps = np.arange(m)
+            cyclic = (steps[:, None, None] + steps) % m   # [x, 0, y] = (x + y) mod m
+            k = len(table) * m
+            table = (table[:, None, :, None] * m + cyclic).reshape(k, k)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def negation(self) -> np.ndarray:
+        """Read-only array of index(-a), in index order."""
+        neg = np.argmax(self.addition_table == 0, axis=1)
+        neg.setflags(write=False)
+        return neg
+
     def element_order(self, a) -> int:
         out = 1
         for x, m in zip(a, self.invariant_factors):
@@ -77,19 +99,17 @@ def abelian_group(invariant_factors) -> FiniteAbelianGroup:
 def abelian_group_algebra(group: FiniteAbelianGroup) -> tuple[Algebra, Involution]:
     """Convolution algebra on delta functions, with star(d_a) = d_(-a);
     every element is its own class."""
-    table = np.zeros((1, 1), dtype=np.int64)     # addition, in group.index order
-    for m in group.invariant_factors:
-        steps = np.arange(m)
-        cyclic = (steps[:, None, None] + steps) % m   # [x, 0, y] = (x + y) mod m
-        k = len(table) * m
-        table = (table[:, None, :, None] * m + cyclic).reshape(k, k)
-    inverse = np.argmax(table == 0, axis=1)
     names = ["d(" + ",".join(map(str, a)) + ")" for a in group.elements()]
-    return _class_sum_algebra(table, inverse, np.arange(group.order), 0, names)
+    return _class_sum_algebra(group.addition_table, group.negation,
+                              np.arange(group.order), 0, names)
 
 
 def convolve(group: FiniteAbelianGroup, f, g) -> np.ndarray:
-    """(f * g)(a) = sum_b f(b) g(a - b), by direct summation."""
+    """(f * g)(a) = sum_b f(b) g(a - b), by direct summation.
+
+    Every product f(b) g(c) is added at index(b + c), read off the
+    addition table, in one unbuffered ``np.add.at``.
+    """
     n = group.order
     f = np.asarray(f, dtype=np.complex128)
     g = np.asarray(g, dtype=np.complex128)
@@ -99,11 +119,8 @@ def convolve(group: FiniteAbelianGroup, f, g) -> np.ndarray:
                 f"{name} must have one value per group element ({n}), "
                 f"got shape {arr.shape}",
                 expected=n, got=list(arr.shape))
-    elems = group.elements()
     out = np.zeros(n, dtype=np.complex128)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            out[group.index(group.add(a, b))] += f[i] * g[j]
+    np.add.at(out, group.addition_table, np.outer(f, g))
     return out
 
 

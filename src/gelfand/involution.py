@@ -167,7 +167,9 @@ def radical_selfadjoint_span_check(inv: Involution,
     Splits each radical basis vector into self-adjoint parts and checks
     that both parts still vanish under every character.  The pieces
     x1, x2 are star-fixed by construction, so this shows the radical is
-    the complex span of the self-adjoint elements it contains.
+    the complex span of the self-adjoint elements it contains.  Raises
+    :class:`PropertyViolated` when ``space`` was certified for another
+    algebra than the involution's.
     """
     algebra = inv.algebra
     rad = radical(algebra, space)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import Algebra, _joint_eigenbasis, _worst_entry
 from .errors import ContractionViolated, InvalidNorm
-from .spectrum import DEFAULT_SEED, CharacterSpace, seeded_rng
+from .spectrum import DEFAULT_SEED, CharacterSpace, _require_own_space, seeded_rng
 
 NORM_REGULAR = "regular-operator-norm"
 NORM_SUP = "sup-on-characters"
@@ -102,8 +102,7 @@ def operator_norm(algebra: Algebra) -> AlgebraNorm:
 
 def sup_norm(algebra: Algebra, space: CharacterSpace) -> AlgebraNorm:
     """Sup of |phi(x)| over the certified characters."""
-    if space.algebra is not algebra:
-        raise InvalidNorm("character space belongs to a different algebra")
+    _require_own_space(algebra, space, InvalidNorm)
     if len(space) == 0:
         raise InvalidNorm("sup norm needs at least one character")
     return AlgebraNorm(kind=NORM_SUP, algebra=algebra, space=space)
@@ -188,8 +187,11 @@ def verify_contraction(algebra: Algebra, norm: AlgebraNorm, space: CharacterSpac
 
     Raises :class:`ContractionViolated` when some sample exceeds
     ‖x‖ (1 + 1e-9); that indicates a bug rather than bad input, since the
-    bound is a theorem for certified norms and characters.
+    bound is a theorem for certified norms and characters.  Raises
+    :class:`InvalidNorm` when the norm or the space belongs to another
+    algebra.
     """
+    _require_own_norm(algebra, norm, space)
     rng = seeded_rng(seed, 2, NORM_KINDS.index(norm.kind))
     worst = _worst_ratio(norm, space, algebra.random_elements(samples, rng))
     passed = worst <= 1.0 + CONTRACTION_SLACK
@@ -208,11 +210,22 @@ def homomorphism_norm(algebra: Algebra, norm: AlgebraNorm, space: CharacterSpace
 
     The sup of max_phi |phi(x)| / ‖x‖ over seeded samples plus the
     deterministic witness x = e.  Contraction caps it at 1 and the witness
-    attains 1, so the result must equal 1 to within 1e-9.
+    attains 1, so the result must equal 1 to within 1e-9.  Raises
+    :class:`InvalidNorm` when the norm or the space belongs to another
+    algebra.
     """
+    _require_own_norm(algebra, norm, space)
     rng = seeded_rng(seed, 3, NORM_KINDS.index(norm.kind))
     xs = algebra.random_elements(samples, rng)
     return _worst_ratio(norm, space, np.vstack([xs, algebra.unit]))
+
+
+def _require_own_norm(algebra: Algebra, norm: AlgebraNorm,
+                      space: CharacterSpace) -> None:
+    """Raise :class:`InvalidNorm` unless the norm and the space are ``algebra``'s."""
+    _require_own_space(algebra, space, InvalidNorm)
+    if norm.algebra is not algebra:
+        raise InvalidNorm("norm belongs to a different algebra")
 
 
 def _worst_ratio(norm: AlgebraNorm, space: CharacterSpace, xs: np.ndarray) -> float:

@@ -13,7 +13,9 @@ involution, which lets every abstract tool (characters, radical, norms)
 run on concrete operators.  The headline facts checked here: a certified
 operator algebra has trivial radical, its characters biject with joint
 eigenvalues, and the adjoint turns into complex conjugation under the
-transform.
+transform.  The isomorphism check returns the character space it
+certified, with its radical stored on it, so a caller reads the
+characters of the closure from the report instead of computing them again.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .involution import Involution, involution
-from .spectrum import DEFAULT_SEED, characters, radical, seeded_rng
+from .spectrum import DEFAULT_SEED, CharacterSpace, characters, radical, seeded_rng
 
 #: relative tolerance on  G = Gᴴ
 GRAM_HERMITIAN_TOL = 1e-12
@@ -391,7 +393,12 @@ def check_selfadjoint_nilpotent(space: InnerProductSpace, t,
 
 @dataclass(frozen=True, eq=False)
 class IsomorphismReport:
-    """Character-count, radical and conjugation checks for an operator algebra."""
+    """Character-count, radical and conjugation checks for an operator algebra.
+
+    ``space`` is the certified character space of the closure's algebra that
+    the checks ran on; ``radical(opalg.algebra, report.space)`` returns the
+    radical stored with it.
+    """
 
     passed: bool
     character_count: int
@@ -399,6 +406,7 @@ class IsomorphismReport:
     radical_dim: int
     conjugation_residual: float
     realness_residual: float
+    space: CharacterSpace
 
 
 def verify_gelfand_isomorphism(opalg: OperatorAlgebra,
@@ -409,7 +417,8 @@ def verify_gelfand_isomorphism(opalg: OperatorAlgebra,
     of characters must equal the algebra dimension, applying a character
     to an adjoint must conjugate its value, and characters must be real
     on self-adjoint basis ops.  Any failure raises
-    :class:`PropertyViolated` naming the clause.
+    :class:`PropertyViolated` naming the clause; on success the report
+    carries the certified space.
     """
     embedded = opalg.algebra
     space = characters(embedded, seed=seed)
@@ -443,4 +452,4 @@ def verify_gelfand_isomorphism(opalg: OperatorAlgebra,
     return IsomorphismReport(passed=True, character_count=len(space),
                              algebra_dim=embedded.dim, radical_dim=0,
                              conjugation_residual=conj_worst,
-                             realness_residual=real_worst)
+                             realness_residual=real_worst, space=space)

@@ -6,19 +6,24 @@ v_i = phi(b_i).  Such vectors are exactly the common eigenvectors of the
 transposed regular matrices L_{b_i}^T = c[i], rescaled so that
 phi(e) = 1.  In characteristic 0 the trace form tr(L_x L_y) equals
 sum_phi m_phi phi(x) phi(y), so its range is spanned by the character
-vectors and its kernel is the radical.  :func:`characters` therefore
-compresses one seeded generic matrix L_g^T to that range, where it is
-diagonalizable with eigenvalues phi(g), and reads every character off its
-eigenvectors.  The whole candidate set is certified in one scan per basis
-index (:func:`character_residuals`) and sorted with one ``lexsort``.
-Nothing uncertified is ever returned.
+vectors and its kernel is the radical.  The algebra computes that form
+once (``Algebra.trace_form``).  :func:`characters` therefore compresses
+one seeded generic matrix L_g^T to that range, where it is diagonalizable
+with eigenvalues phi(g), and reads every character off its eigenvectors.
+The whole candidate set is certified in one scan per basis index
+(:func:`character_residuals`) and sorted with one ``lexsort``.  Nothing
+uncertified is ever returned.
 
 The Gelfand transform x -> (phi -> phi(x)) is one (characters x basis)
 table applied to coordinate vectors.  :class:`CharacterSpace` stores that
 table once, as a read-only complex (count, dim) array with a (count,)
 array of residuals, and the transform, the radical (its null space),
 interpolation (one least-squares solve against it) and every other
-consumer read the stored array.  An empty table has shape (0, dim).
+consumer read the stored array.  An empty table has shape (0, dim).  The
+radical is a property of the table, so it is certified once per space and
+stored with it: every :func:`radical` call on the same space returns the
+same :class:`RadicalSubspace`.  A consumer handed an algebra and a space
+certified for another algebra raises instead of answering.
 """
 
 from __future__ import annotations
@@ -87,7 +92,8 @@ class CharacterSpace:
     read-only (count,) array of their certificates.  The Gelfand transform,
     the sup norm, the radical and interpolation all read that array;
     ``characters`` is a cached tuple of :class:`Character` views of its rows,
-    and ``delta_sep`` is the separation threshold of the rows.
+    and ``delta_sep`` is the separation threshold of the rows.  The radical
+    is computed on the first :func:`radical` call and stored here.
     """
 
     algebra: Algebra
@@ -148,6 +154,34 @@ class CharacterSpace:
         x = self.algebra.element(x)
         return self.values @ x
 
+    @cached_property
+    def _radical(self) -> RadicalSubspace:
+        """The certified radical of the table; read it through :func:`radical`."""
+        phi = self.values
+        algebra = self.algebra
+        n = algebra.dim
+        vh = np.linalg.svd(phi)[2]
+        basis = vh[len(phi):].conj().T  # (n, n - count), orthonormal
+        t_res = 0.0
+        p_res = 0.0
+        for col in basis.T:
+            t_res = max(t_res, float(np.max(np.abs(phi @ col), initial=0.0)))
+            p_res = max(p_res, float(np.max(np.abs(algebra.power(col, n)))))
+        return RadicalSubspace(algebra=algebra, basis=_readonly(basis),
+                               transform_residual=t_res, power_residual=p_res)
+
+
+def _require_own_space(algebra: Algebra, space: CharacterSpace,
+                       error: type = PropertyViolated) -> None:
+    """Raise ``error`` unless ``space`` was certified for ``algebra`` itself.
+
+    Consumers that take an algebra and a space call this before reading the
+    space, so a space of another algebra, even one of the same dimension,
+    never yields an answer.
+    """
+    if space.algebra is not algebra:
+        raise error("character space belongs to a different algebra")
+
 
 def _first_close_pair(rows: np.ndarray, thresh: float) -> tuple[int, int, float] | None:
     """The first pair a < b, in (a, b) loop order, of rows closer than thresh.
@@ -188,19 +222,6 @@ def separation_threshold(vectors) -> float:
     return SEP_BASE * (1.0 + float(np.max(np.abs(vectors), initial=0.0)))
 
 
-def trace_form(algebra: Algebra) -> np.ndarray:
-    """Gram matrix T[i, j] = tr(L_{b_i} L_{b_j}) of the trace form.
-
-    Since L_{b_i} L_{b_j} = L_{b_i b_j}, the entry is sum_k c[i, j, k] tr(L_{b_k}),
-    one contraction of the tensor with its trace vector.  In characteristic
-    0, T = sum_phi m_phi v_phi v_phi^T over the characters with their
-    multiplicities, so its range is spanned by the character vectors and
-    its kernel is the radical.
-    """
-    c = algebra.structure_constants
-    return c @ np.einsum("kaa->k", c)
-
-
 def _in_trace_kernel(form: np.ndarray, x: np.ndarray) -> bool:
     """Whether T x = 0, row by row relative to the size of the row's terms.
 
@@ -231,7 +252,7 @@ def characters(algebra: Algebra, seed: int = DEFAULT_SEED,
     n = algebra.dim
     c = algebra.structure_constants
     eps = algebra.eps_char
-    form = trace_form(algebra)
+    form = algebra.trace_form
     u, sing, vh = np.linalg.svd(form)
     rank = int(np.sum(sing > 1e-12 * n * (1.0 + float(sing[0]))))
     # the cut is absolute in T's scale and can drop a character whose
@@ -302,19 +323,13 @@ def radical(algebra: Algebra, space: CharacterSpace) -> RadicalSubspace:
 
     Distinct characters are linearly independent, so the null space has
     dimension dim - count; no rank cut is needed, and none can mistake a
-    character with small values for a radical direction.
+    character with small values for a radical direction.  The radical is
+    computed once per space and stored with it, so later calls return the
+    same object.  Raises :class:`PropertyViolated` when ``space`` was
+    certified for another algebra.
     """
-    phi = space.values
-    n = algebra.dim
-    vh = np.linalg.svd(phi)[2]
-    basis = vh[len(phi):].conj().T  # (n, n - count), orthonormal
-    t_res = 0.0
-    p_res = 0.0
-    for col in basis.T:
-        t_res = max(t_res, float(np.max(np.abs(phi @ col), initial=0.0)))
-        p_res = max(p_res, float(np.max(np.abs(algebra.power(col, n)))))
-    return RadicalSubspace(algebra=algebra, basis=_readonly(basis),
-                           transform_residual=t_res, power_residual=p_res)
+    _require_own_space(algebra, space)
+    return space._radical
 
 
 def nilpotency_threshold(x_norm: float, m: int) -> float:
@@ -330,7 +345,7 @@ def is_nilpotent(algebra: Algebra, x) -> tuple[bool, int | None]:
     powers hides it, dim, since x^dim = 0 for every nilpotent x.
     """
     x = algebra.element(x)
-    if not _in_trace_kernel(trace_form(algebra), x):
+    if not _in_trace_kernel(algebra.trace_form, x):
         return False, None
     xn = float(np.linalg.norm(x))
     lx = algebra.left_regular(x)
@@ -406,8 +421,10 @@ def interpolate(algebra: Algebra, space: CharacterSpace, targets) -> np.ndarray:
     ``targets`` lists one complex value per character, in the order of
     ``space.characters``.  The characters are linearly independent, so the
     character matrix has full row rank and one least-squares solve gives
-    the minimum-norm solution.
+    the minimum-norm solution.  Raises :class:`PropertyViolated` when
+    ``space`` was certified for another algebra.
     """
+    _require_own_space(algebra, space)
     f = np.asarray(targets, dtype=np.complex128)
     if f.shape != (len(space),):
         raise LengthMismatch(

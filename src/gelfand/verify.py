@@ -38,6 +38,7 @@ from .spectrum import (
     NILP_BASE,
     SEP_BASE,
     CharacterSpace,
+    _require_own_space,
     characters,
     indicator_element,
     interpolate,
@@ -164,8 +165,13 @@ def norm_suite(algebra: Algebra, space: CharacterSpace,
 
 def involution_suite(inv, space: CharacterSpace,
                      seed: int = DEFAULT_SEED, samples: int = 25) -> dict:
-    """Round-trip, conjugation-closure and radical span checks for a star."""
+    """Round-trip, conjugation-closure and radical span checks for a star.
+
+    Raises :class:`PropertyViolated` when ``space`` was
+    certified for another algebra than the involution's.
+    """
     algebra = inv.algebra
+    _require_own_space(algebra, space)
     rng = seeded_rng(seed, _KEY_STAR)
     worst_round = 0.0
     for x in algebra.random_elements(samples, rng):

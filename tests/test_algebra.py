@@ -325,3 +325,15 @@ def test_polynomial_quotient_reduction():
     assert_allclose(alg.power([0, 1, 0], 3), [1, 1, 0], atol=1e-15)
     names = alg.basis_names
     assert names == ("1", "t", "t^2")
+
+
+def test_trace_form_is_computed_once_and_read_only():
+    alg = random_algebra(5).algebra
+    c = alg.structure_constants
+    form = alg.trace_form
+    assert alg.trace_form is form
+    assert not form.flags.writeable
+    assert form.tobytes() == (c @ np.einsum("kaa->k", c)).tobytes()
+    regular = [alg.left_regular(alg.basis_element(i)) for i in range(alg.dim)]
+    naive = np.array([[np.trace(a @ b) for b in regular] for a in regular])
+    assert_allclose(form, naive, rtol=1e-12, atol=1e-12 * (1 + np.max(np.abs(naive))))

@@ -1,6 +1,7 @@
 """Convolution algebras of abelian groups and centers of general ones."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -362,3 +363,22 @@ def test_convolution_operators_embed_in_operator_model():
     assert opalg.dim == 4
     report = verify_gelfand_isomorphism(opalg)
     assert report.passed and report.character_count == 4
+
+
+def test_addition_table_and_negation_are_built_once_and_lazily():
+    group = abelian_group([4, 6])
+    elems = group.elements()
+    table, neg = group.addition_table, group.negation
+    assert group.addition_table is table and group.negation is neg
+    assert not table.flags.writeable and not neg.flags.writeable
+    assert table.tolist() == [[group.index(group.add(a, b)) for b in elems]
+                              for a in elems]
+    assert neg.tolist() == [group.index(group.neg(a)) for a in elems]
+    tracemalloc.start()
+    try:
+        big = abelian_group([10**5])
+        assert big.order == 10**5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -307,3 +307,12 @@ def test_uncertified_star_fails_conjugation_the_same_way():
     assert set(one.value.details) == set(suite.value.details) == {"residual", "tolerance"}
     assert one.value.details == suite.value.details
     assert one.value.details["residual"] > alg.eps_char
+
+
+def test_span_check_and_suite_reject_a_foreign_space():
+    inv = coordinate_conjugation(polynomial_quotient([-1.0, 0.0]))
+    space = characters(dual_numbers())
+    with pytest.raises(PropertyViolated, match="different algebra"):
+        radical_selfadjoint_span_check(inv, space)
+    with pytest.raises(PropertyViolated, match="different algebra"):
+        involution_suite(inv, space)

@@ -284,3 +284,13 @@ def test_contraction_report_deterministic():
     a = verify_contraction(alg, n, space, samples=300, seed=42)
     b = verify_contraction(alg, n, space, samples=300, seed=42)
     assert a.worst_ratio == b.worst_ratio
+
+
+def test_sampled_norm_checks_reject_a_foreign_space_or_norm():
+    parity, dual = parity_algebra(), dual_numbers()
+    norm = operator_norm(parity)
+    for check in (verify_contraction, homomorphism_norm):
+        with pytest.raises(InvalidNorm, match="character space belongs"):
+            check(parity, norm, characters(dual))
+        with pytest.raises(InvalidNorm, match="norm belongs"):
+            check(parity, operator_norm(dual), characters(parity))

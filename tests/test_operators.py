@@ -13,6 +13,7 @@ from gelfand import (
     ShapeMismatch,
     characters,
     operator_norm,
+    radical,
     seeded_rng,
 )
 from gelfand.errors import SelfAdjointnessViolated
@@ -435,3 +436,15 @@ def test_planted_commuting_families_close_to_their_joint_spectrum(seed):
     assert verify_gelfand_isomorphism(opalg).passed
     report = involution_suite(opalg.star, characters(opalg.algebra))
     assert report["star_roundtrip_residual"] <= 1e-12
+
+
+def test_isomorphism_report_returns_the_space_it_certified():
+    space, t, _ = normal_fixture(3, seeded_rng(71))
+    opalg = generate_star_subalgebra(space, [t])
+    report = verify_gelfand_isomorphism(opalg)
+    chars = report.space
+    assert chars.algebra is opalg.algebra
+    assert chars.values.shape == (opalg.dim, opalg.dim)
+    assert radical(opalg.algebra, chars).dim == report.radical_dim == 0
+    assert len(chars) == report.character_count == report.algebra_dim
+    assert chars.worst_residual <= opalg.algebra.eps_char

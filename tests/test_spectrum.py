@@ -593,3 +593,20 @@ def test_fortran_order_tensor_is_stored_in_c_order():
         tracemalloc.stop()
     assert len(space) == n
     assert peak < n**3 * 16
+
+
+def test_radical_is_stored_with_its_table(cubic_nil):
+    space = characters(cubic_nil)
+    rad = radical(cubic_nil, space)
+    assert radical(cubic_nil, space) is rad
+    assert rad.dim == 2
+    # another space of the same algebra certifies its own radical
+    assert radical(cubic_nil, characters(cubic_nil)) is not rad
+
+
+def test_spectrum_consumers_reject_a_foreign_space(parity):
+    space = characters(dual_numbers())
+    with pytest.raises(PropertyViolated, match="different algebra"):
+        radical(parity, space)
+    with pytest.raises(PropertyViolated, match="different algebra"):
+        interpolate(parity, space, [1.0])
