@@ -95,8 +95,7 @@ def _cmd_validate(doc, ns) -> dict:
 def _cmd_characters(doc, ns) -> dict:
     algebra, _ = parse_algebra(doc)
     space = characters(algebra, seed=ns.seed)
-    rad = radical(algebra, space)
-    body = character_table_payload(space, rad)
+    body = character_table_payload(space)
     body.update({
         "delta_sep": float(space.delta_sep),
         "eps_char": float(algebra.eps_char),
@@ -205,19 +204,17 @@ def _cmd_group(doc, ns) -> dict:
     group = parse_group(doc)
     if isinstance(group, FiniteAbelianGroup):
         space = abelian_characters(group, seed=ns.seed)
-        rad = radical(space.algebra, space)
         body = {
             "kind": "abelian",
             "order": int(group.order),
             "invariant_factors": [int(m) for m in group.invariant_factors],
         }
-        body.update(character_table_payload(space, rad))
+        body.update(character_table_payload(space))
         body["passed"] = True
         return body
     partition = conjugacy_classes(group)
     algebra, _ = center_algebra(group)
     space = characters(algebra, seed=ns.seed)
-    rad = radical(algebra, space)
     body = {
         "kind": "center",
         "order": int(group.order),
@@ -225,7 +222,7 @@ def _cmd_group(doc, ns) -> dict:
         "class_sizes": [int(s) for s in partition.sizes],
         "classes": [[int(g) for g in cls] for cls in partition.classes],
     }
-    body.update(character_table_payload(space, rad))
+    body.update(character_table_payload(space))
     body["passed"] = len(space) == len(partition)
     return body
 

@@ -20,6 +20,7 @@ from .groups import (
 )
 from .involution import Involution, involution
 from .operators import InnerProductSpace, inner_product_space
+from .spectrum import radical
 
 
 def parse_complex(obj, where: str) -> complex:
@@ -184,22 +185,22 @@ def parse_operator_model(doc) -> tuple[InnerProductSpace, list[np.ndarray]]:
     return inner_product_space(gram), gens
 
 
-def character_table_payload(space, rad) -> dict:
-    """The character-table report block: count, value rows, residuals."""
+def character_table_payload(space) -> dict:
+    """The character-table report block: count, value rows, residuals, radical."""
     return {
         "count": len(space),
         "characters": [vector_payload(row) for row in space.values],
         "residual": float(space.worst_residual),
-        "radical_dim": int(rad.dim),
+        "radical_dim": int(radical(space.algebra, space).dim),
     }
 
 
-def contraction_payload(report, hom_norm: float) -> dict:
+def contraction_payload(report) -> dict:
     """The norm report block for one certified norm kind."""
     return {
         "norm": report.kind,
         "worst_contraction_ratio": float(report.worst_ratio),
-        "hom_norm": float(hom_norm),
+        "hom_norm": float(report.hom_norm),
         "samples": int(report.samples),
         "seed": int(report.seed),
     }

@@ -256,10 +256,13 @@ def characters(algebra: Algebra, seed: int = DEFAULT_SEED,
     u, sing, vh = np.linalg.svd(form)
     rank = int(np.sum(sing > 1e-12 * n * (1.0 + float(sing[0]))))
     # the cut is absolute in T's scale and can drop a character whose
-    # values are small; keep every direction up to the last one past the
-    # cut that is not in the kernel of T row by row
-    rank = max([rank] + [j + 1 for j in range(rank, n)
-                         if not _in_trace_kernel(form, vh[j].conj())])
+    # values are small; keep every direction v up to the last one past the
+    # cut with |T v|_i > NILP_BASE * sum_k |T_ik| * max|v| on some row i,
+    # a bound that roundoff entries of v cannot bring down to roundoff
+    tail = vh[rank:].conj().T
+    above = np.abs(form @ tail) > NILP_BASE * np.outer(
+        np.sum(np.abs(form), axis=1), np.max(np.abs(tail), axis=0))
+    rank += int(np.max(np.flatnonzero(np.any(above, axis=0)) + 1, initial=0))
     q = u[:, :rank]
 
     best_gap = 0.0

@@ -184,3 +184,15 @@ def naive_convolution(add_table, f, g):
             k = int(np.argmax(add_table[b] == a))
             out[a] += f[b] * g[k]
     return out
+
+
+def tensor_product(c_a, u_a, c_b, u_b):
+    """Structure constants and unit of A ⊗ B in the basis a_i ⊗ b_j.
+
+    Basis index (i, j) is flattened to i * dim(B) + j, the order of
+    ``np.kron``, so the characters of A ⊗ B are the Kronecker products of
+    the factors' value vectors.
+    """
+    n = len(u_a) * len(u_b)
+    c = np.einsum("ikm,jln->ijklmn", np.asarray(c_a), np.asarray(c_b))
+    return c.reshape(n, n, n), np.kron(u_a, u_b)

@@ -12,7 +12,9 @@ from gelfand import (
     abelian_group_algebra,
     characters,
     dual_numbers,
+    generate_star_subalgebra,
     polynomial_quotient,
+    random_operator_fixture,
     seeded_rng,
     standard_corpus,
     validate,
@@ -25,8 +27,8 @@ from gelfand.involution import (
     radical_selfadjoint_span_check,
     selfadjoint_parts,
 )
-from gelfand.spectrum import Character, CharacterSpace, separation_threshold
-from gelfand.verify import involution_suite
+from gelfand.spectrum import DEFAULT_SEED, Character, CharacterSpace, separation_threshold
+from gelfand.verify import _KEY_STAR, involution_suite
 
 from oracles import naive_multiply
 
@@ -292,6 +294,24 @@ def test_involution_suite_matches_conjugate_character_loop(inv):
     out = involution_suite(inv, space)
     assert out["self_conjugate_characters"] == fixed
     assert out["conjugation_closed"] is closed
+
+
+def _closure_star(seed):
+    fix = random_operator_fixture(seed)
+    return generate_star_subalgebra(fix.space, [fix.generator]).star
+
+
+@pytest.mark.parametrize("inv", _stars() + [
+    pytest.param(_closure_star(seed), id=f"closure-{seed}") for seed in range(3)])
+@pytest.mark.parametrize("samples", [0, 25])
+def test_batched_star_roundtrip_matches_the_per_vector_loop(inv, samples):
+    xs = inv.algebra.random_elements(samples, seeded_rng(DEFAULT_SEED, _KEY_STAR))
+    worst = 0.0
+    for x in xs:
+        gap = float(np.max(np.abs(inv.star(inv.star(x)) - x)))
+        worst = max(worst, gap / (1.0 + float(np.max(np.abs(x)))))
+    out = involution_suite(inv, characters(inv.algebra), samples=samples)
+    assert abs(out["star_roundtrip_residual"] - worst) <= 1e-15
 
 
 def test_uncertified_star_fails_conjugation_the_same_way():

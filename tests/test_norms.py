@@ -16,6 +16,7 @@ from gelfand import (
     operator_norm,
     polynomial_quotient,
     seeded_rng,
+    standard_corpus,
     suggest_l1_weights,
     sup_norm,
     symmetric_group_3,
@@ -212,6 +213,33 @@ def test_contraction_flags_unsound_norm():
     assert details["worst_ratio"] > 1 + 1e-9
     assert details["kind"] == bogus.kind
     assert details["samples"] == 100 and details["seed"] == 5
+
+
+@pytest.mark.parametrize("weights", [[0.25, 0.25], [1.0, 0.1]], ids=["small-e", "small-t"])
+def test_homomorphism_norm_measures_an_unsound_norm_without_raising(weights):
+    # the planted norm of test_contraction_flags_unsound_norm, and one with
+    # ‖e‖ = 1 where the samples rather than e set the estimate: it is the
+    # worst of the contraction samples and e, returned as measured
+    alg = parity_algebra()
+    space = characters(alg)
+    bogus = weighted_l1_norm(alg, [1.0, 1.0])
+    object.__setattr__(bogus, "weights", np.array(weights))
+    with pytest.raises(ContractionViolated) as exc:
+        verify_contraction(alg, bogus, space, samples=100, seed=5)
+    hom = homomorphism_norm(alg, bogus, space, samples=100, seed=5)
+    unit_ratio = 1.0 / float(bogus.weights @ np.abs(alg.unit))
+    assert hom == max(exc.value.details["worst_ratio"], unit_ratio) > 1 + 1e-9
+
+
+@pytest.mark.parametrize("item", standard_corpus(), ids=lambda item: item.name)
+def test_contraction_report_carries_the_homomorphism_norm(item):
+    # one seeded batch per kind serves both checks, so they agree bitwise
+    alg = item.algebra
+    space, norms = norm_triple(alg)
+    for n in norms:
+        report = verify_contraction(alg, n, space, samples=200, seed=11)
+        assert report.hom_norm == homomorphism_norm(alg, n, space, samples=200, seed=11)
+        assert abs(report.hom_norm - 1.0) <= CONTRACTION_SLACK
 
 
 def _reference_norm(n, x):

@@ -18,7 +18,7 @@ from gelfand.serialize import (
     vector_payload,
 )
 from gelfand.norms import ContractionReport
-from gelfand.spectrum import characters, radical
+from gelfand.spectrum import characters
 
 
 def dual_spec():
@@ -164,9 +164,7 @@ def test_parse_operator_model_rejects_malformed(doc):
 
 def test_character_table_payload_shape():
     algebra, _ = parse_algebra(dual_spec())
-    space = characters(algebra)
-    rad = radical(algebra, space)
-    payload = character_table_payload(space, rad)
+    payload = character_table_payload(characters(algebra))
     assert sorted(payload) == ["characters", "count", "radical_dim", "residual"]
     assert payload["count"] == 1
     assert payload["radical_dim"] == 1
@@ -175,8 +173,8 @@ def test_character_table_payload_shape():
 
 def test_contraction_payload_shape():
     rep = ContractionReport(kind="regular-operator-norm", samples=10,
-                            seed=7, worst_ratio=0.5, passed=True)
-    payload = contraction_payload(rep, 1.0)
+                            seed=7, worst_ratio=0.5, passed=True, hom_norm=1.0)
+    payload = contraction_payload(rep)
     assert payload == {"norm": "regular-operator-norm",
                        "worst_contraction_ratio": 0.5, "hom_norm": 1.0,
                        "samples": 10, "seed": 7}

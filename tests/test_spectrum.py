@@ -44,6 +44,7 @@ from oracles import (
     naive_multiply,
     naive_power,
     newton_characters,
+    tensor_product,
     trace_form_radical,
 )
 
@@ -610,3 +611,28 @@ def test_spectrum_consumers_reject_a_foreign_space(parity):
         radical(parity, space)
     with pytest.raises(PropertyViolated, match="different algebra"):
         interpolate(parity, space, [1.0])
+
+
+def _cyclic(n):
+    return abelian_group_algebra(abelian_group([n]))[0]
+
+
+@pytest.mark.parametrize("make_a, make_b", [
+    (lambda: _cyclic(3), lambda: polynomial_quotient([1, -2])),
+    (lambda: polynomial_quotient([-1, 3, -3]), lambda: _cyclic(4)),
+    (lambda: polynomial_quotient([-1, 3, -3]), dual_numbers),
+], ids=["Z3 x (t-1)^2", "(t-1)^3 x Z4", "(t-1)^3 x dual"])
+def test_tensor_product_characters_are_the_products_of_the_factors(make_a, make_b):
+    # the trace-form rank rescue must keep no direction of pure roundoff:
+    # one gives the compressed L_g a Jordan block, which fails loudly, or a
+    # table with spurious rows and radical 0, which is silently wrong
+    a, b = make_a(), make_b()
+    rows_a, rows_b = characters(a).matrix(), characters(b).matrix()
+    alg = validate(*tensor_product(a.structure_constants, a.unit,
+                                   b.structure_constants, b.unit))
+    space = characters(alg)
+    m = len(rows_a) * len(rows_b)
+    assert len(space) == m
+    assert radical(alg, space).dim == alg.dim - m
+    products = np.array([np.kron(p, q) for p in rows_a for q in rows_b])
+    assert match_rows(space.matrix(), products, 1e-7) <= 1e-7

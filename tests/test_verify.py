@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gelfand import CertificationFailed, characters, random_algebra, standard_corpus
+from gelfand.algebra import Algebra
 from gelfand.verify import FIXTURES, SAMPLES, norm_suite, verify_all, verify_item
 
 
@@ -72,6 +73,23 @@ def test_norm_suite_lists_no_skip_with_a_single_support_unit():
     alg = _item("jet-3").algebra
     report = norm_suite(alg, characters(alg))
     assert report["kinds"] == 3 and report["skipped"] == []
+
+
+def test_norm_suite_draws_one_batch_per_kind(monkeypatch):
+    # the contraction check and the homomorphism norm read the same samples
+    alg = _item("jet-3").algebra
+    space = characters(alg)
+    counts = []
+    draw = Algebra.random_elements
+
+    def counted(self, count, rng):
+        counts.append(count)
+        return draw(self, count, rng)
+
+    monkeypatch.setattr(Algebra, "random_elements", counted)
+    report = norm_suite(alg, space)
+    assert report["kinds"] == 3
+    assert counts == [SAMPLES] * 3
 
 
 @pytest.mark.parametrize("seed", [0x5EED, 7])
