@@ -88,8 +88,28 @@ class FiniteAbelianGroup:
         return f"FiniteAbelianGroup{self.invariant_factors}"
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """values as an int64 array; :class:`InvalidGroup` unless they are whole
+    numbers in a rectangular array."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = np.empty(0, dtype=object)
+    if arr.dtype.kind in "iuf":
+        with np.errstate(invalid="ignore"):
+            whole = arr.astype(np.int64)
+        if np.array_equal(whole, arr):
+            return whole
+    raise InvalidGroup(f"{what} must be integers in a rectangular array",
+                       law="integer")
+
+
 def abelian_group(invariant_factors) -> FiniteAbelianGroup:
-    factors = tuple(int(m) for m in invariant_factors)
+    values = _integers(invariant_factors, "invariant factors")
+    if values.ndim != 1:
+        raise InvalidGroup(f"invariant factors must be a list, got shape {values.shape}",
+                           law="integer", got=list(values.shape))
+    factors = tuple(int(m) for m in values)
     if any(m < 2 for m in factors):
         raise InvalidGroup(f"invariant factors must be >= 2, got {factors}",
                            factors=list(factors))
@@ -139,19 +159,25 @@ def abelian_characters(group: FiniteAbelianGroup,
         raise CountMismatch(
             f"found {len(space)} characters on a group of order {group.order}",
             found=len(space), expected=group.order)
+    # the first failing character in space order is reported, its modulus
+    # before its roots of unity
     elems = group.elements()
-    for phi in space:
-        mods = np.abs(phi.values)
-        if float(np.max(np.abs(mods - 1.0))) > 1e-9:
+    orders = np.array([group.element_order(a) for a in elems])
+    values = space.values
+    off_circle = np.max(np.abs(np.abs(values) - 1.0), axis=1) > 1e-9
+    off_root = np.abs(values ** orders - 1.0) > 1e-8
+    failing = off_circle | np.any(off_root, axis=1)
+    if failing.any():
+        k = int(np.argmax(failing))
+        if off_circle[k]:
             raise PropertyViolated(
                 "character value off the unit circle",
-                law="modulus", values=phi.values)
-        for i, a in enumerate(elems):
-            k = group.element_order(a)
-            if abs(phi.values[i] ** k - 1.0) > 1e-8:
-                raise PropertyViolated(
-                    f"value at element {a} is not an order-{k} root of unity",
-                    law="root-of-unity", element=list(a), order=k)
+                law="modulus", values=values[k])
+        i = int(np.argmax(off_root[k]))
+        a, order = elems[i], int(orders[i])
+        raise PropertyViolated(
+            f"value at element {a} is not an order-{order} root of unity",
+            law="root-of-unity", element=list(a), order=order)
     return space
 
 
@@ -179,7 +205,7 @@ class FiniteGroup:
 
 def finite_group(cayley, identity: int = 0) -> FiniteGroup:
     """Validate a Cayley table: Latin, unital, inverses, associative."""
-    table = np.asarray(cayley, dtype=np.int64)
+    table = _integers(cayley, "Cayley table entries")
     if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] < 1:
         raise InvalidGroup(f"Cayley table must be square, got {table.shape}",
                            got=list(table.shape))

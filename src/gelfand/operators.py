@@ -5,12 +5,13 @@ Gram matrix G, so the adjoint of T is G⁻¹ Tᴴ G.  A star subalgebra is
 generated from commuting normal matrices in their joint eigenbasis, where
 it is a space of functions on the d eigenvectors: products are pointwise,
 the adjoint is conjugation, and the G inner product ⟨A, B⟩_G = tr(B* A)
-is the inner product of C^d.  The closure grows the constant function by
-pointwise products with the generators' joint eigenvalues and their
-conjugates, one round at a time, in an orthonormal basis.  It is
-re-expressed as an abstract structure-constant algebra with its induced
-involution, which lets every abstract tool (characters, radical, norms)
-run on concrete operators.  The headline facts checked here: a certified
+is the inner product of C^d.  It is semisimple, so by the Gelfand
+transform it is every function on its joint spectrum: the functions
+constant on each group of eigenvectors that share a joint eigenvalue.  A
+real orthonormal basis of them makes every basis op self-adjoint, so the
+closure is re-expressed as an abstract structure-constant algebra whose
+involution is coordinate conjugation, which lets every abstract tool
+(characters, radical, norms) run on concrete operators.  The headline facts checked here: a certified
 operator algebra has trivial radical, its characters biject with joint
 eigenvalues, and the adjoint turns into complex conjugation under the
 transform.  The isomorphism check returns the character space it
@@ -33,7 +34,7 @@ from .errors import (
     SelfAdjointnessViolated,
     ShapeMismatch,
 )
-from .involution import Involution, involution
+from .involution import Involution, coordinate_conjugation
 from .spectrum import DEFAULT_SEED, CharacterSpace, characters, radical, seeded_rng
 
 #: relative tolerance on  G = Gᴴ
@@ -141,19 +142,12 @@ def _operator(space: InnerProductSpace, t) -> np.ndarray:
     return t
 
 
-def _project_out(basis: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of rows in the orthonormal rows of basis, and the rows
-    minus their projection on it.  The conjugate is taken of the rows, not
-    of the usually larger basis."""
-    coeffs = np.conj(np.conj(rows) @ basis.T)
-    return coeffs, rows - coeffs @ basis
-
-
 def _expand(basis: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of rows in the orthonormal rows of basis, and the norm
-    of each row left over."""
-    coeffs, rest = _project_out(basis, rows)
-    return coeffs, np.linalg.norm(rest, axis=-1)
+    of each row left over.  The conjugate is taken of the rows, not of the
+    usually larger basis."""
+    coeffs = np.conj(np.conj(rows) @ basis.T)
+    return coeffs, np.linalg.norm(rows - coeffs @ basis, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,8 +156,9 @@ class OperatorAlgebra:
 
     ``basis_ops[k]`` is the concrete matrix behind abstract basis vector k;
     the basis is orthonormal in the G inner product ⟨A, B⟩_G = tr(B* A),
-    B* the adjoint, with ``basis_ops[0]`` exactly I/√d, so the abstract
-    unit is supported on a single coordinate.
+    B* the adjoint, and self-adjoint, so ``star`` is coordinate
+    conjugation.  ``basis_ops[0]`` is exactly I/√d, so the abstract unit
+    is supported on a single coordinate.
     """
 
     space: InnerProductSpace
@@ -228,25 +223,20 @@ def generate_star_subalgebra(space: InnerProductSpace,
     pair of generators and adjoints with the largest commutator relative
     to its tolerance.
 
-    A span that holds the constant vector and is closed under pointwise
-    multiplication by every row and its conjugate holds every word in
-    them, so it is the unital star algebra they generate.  The basis
-    starts at 1/√d, which puts the abstract unit on basis index 0, and
-    grows by rounds: the first front is the rows and their conjugates, and
-    each later front is every row and conjugate times every direction the
-    previous round accepted.  A front is projected off the basis in two
-    passes of classical Gram-Schmidt and rows at or below the closure
-    threshold are dropped.  The rest are accepted one by one, each again
-    projected twice off the whole basis, its own round's directions
-    included: a row that shrinks far below its size there would otherwise
-    keep the rounding of its earlier projection, and near-coincident
-    joint eigenvalues give exactly such rows.  For the orthonormal rows
-    v_k the structure constants are c[i, j, k] = sum_p v_i v_j conj(v_k)
-    and the star is conj(V Vᵀ); both products and conjugates must
-    re-expand within the expansion tolerance.  ``expansion_residual`` is
-    the worst of those leftovers and of the generators' off-diagonal
-    norms.  ``basis_ops`` is W⁻¹ U diag(v_k) Uᴴ W, with index 0 set to
-    exactly I/√d.
+    The algebra is semisimple, so the Gelfand transform carries it onto
+    all functions on its joint spectrum, the distinct columns of the rows.
+    Two eigenvectors are the same point when every row agrees there within
+    the closure threshold, and linked points group transitively.  One real
+    QR of the constant vector and the indicators of every group but the
+    first gives the orthonormal rows v_k, with v_0 = 1/√d, which puts the
+    abstract unit on basis index 0.  Real rows are self-adjoint,
+    so the structure constants c[i, j, k] = sum_p v_i v_j v_k are real and
+    the star is coordinate conjugation.  Products must re-expand within
+    the expansion tolerance, and so must the rows, since merging points
+    that differ below the threshold leaves a generator's spread over.
+    ``expansion_residual`` is the worst of those leftovers and of the
+    generators' off-diagonal norms.  ``basis_ops`` is W⁻¹ U diag(v_k) Uᴴ W,
+    with index 0 set to exactly I/√d.
     """
     d = space.dim
     gens = tuple(_readonly(_operator(space, g)) for g in generators)
@@ -267,29 +257,22 @@ def generate_star_subalgebra(space: InnerProductSpace,
             f"{comm:.3e} (tolerance {comm_tol:.3e})",
             pair=[name_a, name_b], residual=comm, tolerance=comm_tol)
 
-    rows = np.concatenate([rows, rows.conj()])
-    # at most d orthonormal directions exist in C^d
-    basis = np.empty((d, d), dtype=np.complex128)
-    basis[0] = 1.0 / np.sqrt(d)
-    m = 1
-    front = rows
-    scale = 1.0
-    while len(front):
-        scale = max(scale, float(np.max(np.linalg.norm(front, axis=1))))
-        tol = CLOSURE_TOL * (1.0 + scale)
-        for _ in range(2):
-            front = _project_out(basis[:m], front)[1]
-        start = m
-        for row in front[np.linalg.norm(front, axis=1) > tol]:
-            for _ in range(2):
-                row = _project_out(basis[:m], row)[1]
-            size = float(np.linalg.norm(row))
-            if size > tol:
-                basis[m] = row / size
-                m += 1
-        front = (rows[:, np.newaxis] * basis[start:m]).reshape(-1, d)
+    # points p, q of the joint spectrum coincide when every row agrees there
+    # within the closure threshold; linked points group transitively
+    tol = CLOSURE_TOL * (1.0 + max(1.0, float(np.max(np.abs(rows), initial=0.0))))
+    near = np.all(np.abs(rows[:, :, np.newaxis] - rows[:, np.newaxis]) <= tol, axis=0)
+    label = np.arange(d)
+    while True:
+        least = np.min(np.where(near, label, d), axis=1)
+        if np.array_equal(least, label):
+            break
+        label = least
+    groups = np.unique(label)
+    span = np.column_stack([np.ones(d), label[:, np.newaxis] == groups[1:]])
+    v = np.linalg.qr(span)[0].T
+    v[0] = 1.0 / np.sqrt(d)                           # QR leaves its sign open
+    m = len(v)
 
-    v = basis[:m]
     prods = v[:, np.newaxis] * v                      # pointwise, (m, m, d)
     c, gaps = _expand(v, prods.reshape(-1, d))
     gaps = gaps.reshape(m, m)
@@ -302,17 +285,17 @@ def generate_star_subalgebra(space: InnerProductSpace,
             f"the closure (residual {gaps[i, j]:.3e})",
             pair=[i, j], residual=float(gaps[i, j]))
     embedded = validate(c.reshape(m, m, m), _expand(v, np.ones(d))[0])
+    star = coordinate_conjugation(embedded)
 
-    coeff, gaps_star = _expand(v, v.conj())
-    bad = np.flatnonzero(gaps_star > EXPANSION_TOL * (1.0 + np.linalg.norm(v, axis=1)))
+    gaps_rows = _expand(v, rows)[1]
+    bad = np.flatnonzero(gaps_rows > EXPANSION_TOL * (1.0 + np.linalg.norm(rows, axis=1)))
     if len(bad):
-        gap = float(gaps_star[bad[0]])
+        gap = float(gaps_rows[bad[0]])
         raise PropertyViolated(
-            f"adjoint of basis op {bad[0]} does not re-expand in the closure "
+            f"generator {bad[0]} does not re-expand in the closure "
             f"(residual {gap:.3e})",
             index=int(bad[0]), residual=gap)
-    star = involution(embedded, coeff.T)
-    worst = max(worst, float(np.max(gaps)), float(np.max(gaps_star)))
+    worst = max(worst, float(np.max(gaps)), float(np.max(gaps_rows, initial=0.0)))
     out = root_inv @ ((u * v[:, np.newaxis]) @ u.conj().T) @ root
     out[0] = np.eye(d) / np.sqrt(d)
     return OperatorAlgebra(space=space, generators=gens, basis_ops=_readonly(out),

@@ -192,10 +192,11 @@ def test_group_cayley_report(capsys, tmp_path):
 
 
 def test_group_rejects_bad_cayley_table(capsys, tmp_path):
-    path = write(tmp_path, "bad.json", {"cayley": [[0, 0], [0, 0]]})
-    rc, doc = run_json(capsys, ["group", "--input", path])
-    assert rc == 2
-    assert doc["error"]["type"] == "InvalidGroup"
+    for table in ([[0, 0], [0, 0]], [[0, 1], [1]]):
+        path = write(tmp_path, "bad.json", {"cayley": table})
+        rc, doc = run_json(capsys, ["group", "--input", path])
+        assert rc == 2
+        assert doc["error"]["type"] == "InvalidGroup"
 
 
 def test_missing_input_is_a_parse_error(capsys):

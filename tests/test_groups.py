@@ -48,6 +48,9 @@ from oracles import (
 def test_abelian_group_validation():
     with pytest.raises(InvalidGroup):
         abelian_group([2, 1])
+    with pytest.raises(InvalidGroup) as exc:
+        abelian_group([2.5])                        # not truncated to Z2
+    assert exc.value.details["law"] == "integer"
     assert abelian_group([]).order == 1
     assert abelian_group([2, 3]).order == 6
 
@@ -170,6 +173,39 @@ def test_group_algebra_radical_is_zero(factors):
     assert radical(alg, space).dim == 0
 
 
+class _TamperedSpace:
+    """The two members of a character space that abelian_characters reads."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def __len__(self):
+        return len(self.values)
+
+
+@pytest.mark.parametrize("scale, phase, law", [
+    (1.1, 1.0, "modulus"),        # character 1 fails both laws
+    (1.0, 1.1, "root-of-unity"),  # character 1 its roots, character 2 its modulus
+])
+def test_abelian_character_laws_name_the_first_failing_character(
+        monkeypatch, scale, phase, law):
+    group = abelian_group([4])
+    values = np.array(abelian_characters(group).values)
+    values[1, 3] *= scale
+    values[1, 2] *= np.exp(1j * (phase - 1.0))
+    values[2, 1] *= 1.1
+    monkeypatch.setattr("gelfand.groups.characters",
+                        lambda alg, seed: _TamperedSpace(values))
+    with pytest.raises(PropertyViolated) as exc:
+        abelian_characters(group)
+    details = exc.value.details
+    assert details["law"] == law
+    if law == "modulus":
+        assert np.array_equal(details["values"], values[1])
+    else:
+        assert details["element"] == [2] and details["order"] == 2
+
+
 def test_abelian_characters_deterministic():
     a = abelian_characters(abelian_group([6]))
     b = abelian_characters(abelian_group([6]))
@@ -187,6 +223,11 @@ def test_finite_group_validation_errors():
     with pytest.raises(InvalidGroup) as exc:
         finite_group([[1, 0], [0, 1]], identity=0)  # 0 is not the identity
     assert exc.value.details["law"] == "identity"
+    for table in ([[0, 1], [1]],                    # ragged
+                  [[0, 1.5], [1.5, 0]]):            # not truncated to Z2
+        with pytest.raises(InvalidGroup) as exc:
+            finite_group(table)
+        assert exc.value.details["law"] == "integer"
 
 
 def test_latin_check_reports_column_before_next_row():

@@ -220,6 +220,21 @@ def test_close_eigenvalues_of_a_normal_generator_are_resolved(gap):
         assert verify_gelfand_isomorphism(opalg).passed
 
 
+@pytest.mark.parametrize("gap", [3e-9, 1e-9, 3e-10, 1e-11])
+def test_eigenvalues_in_the_closure_grey_band_merge_loudly_or_resolve(gap):
+    # a pair this close to the closure threshold is either kept apart or
+    # merged into one point, and then the generator's leftover off the
+    # merged point, |gap| / √2, shows in the expansion residual
+    rng = seeded_rng(7, 103)
+    eigs = np.array([0.5, 0.5 + gap, -1.0 + 0.5j, 2.0j, 1.5, -0.75 - 1.0j])
+    space = euclidean(6)
+    opalg = generate_star_subalgebra(space, [planted_normal(space, eigs, rng)])
+    assert opalg.dim in (5, 6)
+    if opalg.dim == 5:
+        assert opalg.expansion_residual >= gap / 2
+    assert verify_gelfand_isomorphism(opalg).passed
+
+
 def test_coords_roundtrip_and_membership():
     space = euclidean(2)
     opalg = generate_star_subalgebra(space, [np.diag([1.0, 2.0])])
@@ -285,8 +300,9 @@ def test_isomorphism_residuals_match_per_character_loop():
     assert report.conjugation_residual == pytest.approx(
         conj, rel=0, abs=64 * np.finfo(np.float64).eps * scale)
     assert report.realness_residual == real
-    # a star that fixes every basis op cannot conjugate non-real values
-    object.__setattr__(opalg.star, "action", np.eye(n, dtype=complex))
+    # the closure's basis ops are self-adjoint, so the true star is the
+    # identity; one that negates every basis op sends phi to -conj(phi)
+    object.__setattr__(opalg.star, "action", -np.eye(n, dtype=complex))
     with pytest.raises(PropertyViolated) as exc:
         verify_gelfand_isomorphism(opalg)
     assert exc.value.details["clause"] == "conjugation"
@@ -433,9 +449,14 @@ def test_planted_commuting_families_close_to_their_joint_spectrum(seed):
     space, gens, distinct = planted_family(seed)
     opalg = generate_star_subalgebra(space, gens)
     assert opalg.dim == distinct
+    # a real orthonormal basis: every basis op is self-adjoint, the structure
+    # constants are real and the star is coordinate conjugation
+    assert np.array_equal(opalg.star.action, np.eye(distinct))
+    assert not np.any(opalg.algebra.structure_constants.imag)
+    assert np.array_equal(opalg.basis_ops[0], np.eye(len(gens[0])) / np.sqrt(len(gens[0])))
     assert verify_gelfand_isomorphism(opalg).passed
     report = involution_suite(opalg.star, characters(opalg.algebra))
-    assert report["star_roundtrip_residual"] <= 1e-12
+    assert report["star_roundtrip_residual"] == 0.0
 
 
 def test_isomorphism_report_returns_the_space_it_certified():
