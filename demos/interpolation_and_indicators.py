@@ -4,7 +4,7 @@ Hitting prescribed transform values
 
 Characters of a commutative algebra are linearly independent, so any
 function on the spectrum is the transform of some element.  This script
-builds the indicator element of each character of C[t]/(t^3 - 1) and
+builds the indicator element of each character of C[t]/(t^3 + 1) and
 then interpolates an arbitrary target function.
 """
 
@@ -18,7 +18,8 @@ chars = list(space)
 print(f"C[t]/(t^3 + 1): {len(chars)} characters")
 
 # An indicator element transforms to 1 at its own character and 0 at the
-# others; it is a product of two-point separating elements.
+# others; it is the unit minus one least-squares solve for the element
+# that is 0 at that character and 1 at the others.
 for k, phi in enumerate(chars):
     w = indicator_element(algebra, chars, phi)
     print(f"indicator {k}: transform = {np.round(space.transform(w), 10)}")

@@ -224,7 +224,7 @@ def finite_group(cayley, identity: int = 0) -> FiniteGroup:
             raise InvalidGroup(f"column {i} is not a permutation", law="latin",
                                column=i)
         raise InvalidGroup(f"row {i} is not a permutation", law="latin", row=i)
-    e = int(identity)
+    e = int(_integers(identity, "identity index"))
     if not (0 <= e < n):
         raise InvalidGroup(f"identity index {e} out of range", law="identity")
     if not (np.array_equal(table[e], steps) and np.array_equal(table[:, e], steps)):

@@ -7,11 +7,14 @@ it is a space of functions on the d eigenvectors: products are pointwise,
 the adjoint is conjugation, and the G inner product ⟨A, B⟩_G = tr(B* A)
 is the inner product of C^d.  It is semisimple, so by the Gelfand
 transform it is every function on its joint spectrum: the functions
-constant on each group of eigenvectors that share a joint eigenvalue.  A
-real orthonormal basis of them makes every basis op self-adjoint, so the
-closure is re-expressed as an abstract structure-constant algebra whose
-involution is coordinate conjugation, which lets every abstract tool
-(characters, radical, norms) run on concrete operators.  The headline facts checked here: a certified
+constant on each group of eigenvectors that share a joint eigenvalue.
+Its basis is the normalized point masses, the indicator of each group
+over the square root of its size.  They are real, orthonormal and
+self-adjoint, and the product of two of them is zero unless they are the
+same, so the closure is re-expressed as an abstract structure-constant
+algebra with diagonal structure constants whose involution is coordinate
+conjugation, which lets every abstract tool (characters, radical, norms)
+run on concrete operators.  The headline facts checked here: a certified
 operator algebra has trivial radical, its characters biject with joint
 eigenvalues, and the adjoint turns into complex conjugation under the
 transform.  The isomorphism check returns the character space it
@@ -43,10 +46,10 @@ GRAM_HERMITIAN_TOL = 1e-12
 #: the smallest eigenvalue of G must exceed this times the largest
 GRAM_DEFINITE_FLOOR = 1e-10
 
-#: relative threshold for accepting a new direction during closure
+#: relative threshold for merging joint eigenvalues into one point
 CLOSURE_TOL = 1e-9
 
-#: relative tolerance on re-expanding products in the operator basis
+#: relative tolerance on re-expanding the generators in the operator basis
 EXPANSION_TOL = 1e-9
 
 #: base tolerance for operator-level commutation and self-adjointness
@@ -157,8 +160,8 @@ class OperatorAlgebra:
     ``basis_ops[k]`` is the concrete matrix behind abstract basis vector k;
     the basis is orthonormal in the G inner product ⟨A, B⟩_G = tr(B* A),
     B* the adjoint, and self-adjoint, so ``star`` is coordinate
-    conjugation.  ``basis_ops[0]`` is exactly I/√d, so the abstract unit
-    is supported on a single coordinate.
+    conjugation.  Basis op k is the spectral projector of joint eigenvalue
+    k over √s_k, s_k its multiplicity, so the abstract unit is √s.
     """
 
     space: InnerProductSpace
@@ -226,17 +229,16 @@ def generate_star_subalgebra(space: InnerProductSpace,
     The algebra is semisimple, so the Gelfand transform carries it onto
     all functions on its joint spectrum, the distinct columns of the rows.
     Two eigenvectors are the same point when every row agrees there within
-    the closure threshold, and linked points group transitively.  One real
-    QR of the constant vector and the indicators of every group but the
-    first gives the orthonormal rows v_k, with v_0 = 1/√d, which puts the
-    abstract unit on basis index 0.  Real rows are self-adjoint,
-    so the structure constants c[i, j, k] = sum_p v_i v_j v_k are real and
-    the star is coordinate conjugation.  Products must re-expand within
-    the expansion tolerance, and so must the rows, since merging points
-    that differ below the threshold leaves a generator's spread over.
-    ``expansion_residual`` is the worst of those leftovers and of the
-    generators' off-diagonal norms.  ``basis_ops`` is W⁻¹ U diag(v_k) Uᴴ W,
-    with index 0 set to exactly I/√d.
+    the closure threshold, and linked points group transitively.  Row v_k
+    of the basis is the indicator of group k over √s_k, s_k its size: the
+    normalized point masses, real and orthonormal.  Distinct point masses
+    multiply to zero and v_k v_k = v_k / √s_k, so the structure constants
+    are c[k, k, k] = 1/√s_k and zero elsewhere, the unit is √s, and the
+    star is coordinate conjugation.  The generators' rows must re-expand
+    within the expansion tolerance, since merging points that differ below
+    the threshold leaves a generator's spread over.  ``expansion_residual``
+    is the worst of those leftovers and of the generators' off-diagonal
+    norms.  ``basis_ops`` is W⁻¹ U diag(v_k) Uᴴ W.
     """
     d = space.dim
     gens = tuple(_readonly(_operator(space, g)) for g in generators)
@@ -267,37 +269,29 @@ def generate_star_subalgebra(space: InnerProductSpace,
         if np.array_equal(least, label):
             break
         label = least
-    groups = np.unique(label)
-    span = np.column_stack([np.ones(d), label[:, np.newaxis] == groups[1:]])
-    v = np.linalg.qr(span)[0].T
-    v[0] = 1.0 / np.sqrt(d)                           # QR leaves its sign open
-    m = len(v)
-
-    prods = v[:, np.newaxis] * v                      # pointwise, (m, m, d)
-    c, gaps = _expand(v, prods.reshape(-1, d))
-    gaps = gaps.reshape(m, m)
-    excess = gaps > EXPANSION_TOL * (1.0 + np.linalg.norm(prods, axis=2))
-    bad = np.argwhere(np.triu(excess))
-    if len(bad):
-        i, j = (int(k) for k in bad[0])
-        raise PropertyViolated(
-            f"product of basis ops ({i}, {j}) does not re-expand in "
-            f"the closure (residual {gaps[i, j]:.3e})",
-            pair=[i, j], residual=float(gaps[i, j]))
-    embedded = validate(c.reshape(m, m, m), _expand(v, np.ones(d))[0])
+    # row k of v is the indicator of point k over the square root of its
+    # size s_k: orthonormal, so v_k v_k = v_k / √s_k and c[k, k, k] = 1/√s_k
+    # is the very float that products of the rows give
+    _, label, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    m = len(sizes)
+    k = np.arange(m)
+    weight = 1.0 / np.sqrt(sizes)
+    v = (k[:, np.newaxis] == label) * weight[:, np.newaxis]
+    c = np.zeros((m, m, m))
+    c[k, k, k] = weight
+    embedded = validate(c, np.sqrt(sizes))
     star = coordinate_conjugation(embedded)
 
-    gaps_rows = _expand(v, rows)[1]
-    bad = np.flatnonzero(gaps_rows > EXPANSION_TOL * (1.0 + np.linalg.norm(rows, axis=1)))
+    gaps = _expand(v, rows)[1]
+    bad = np.flatnonzero(gaps > EXPANSION_TOL * (1.0 + np.linalg.norm(rows, axis=1)))
     if len(bad):
-        gap = float(gaps_rows[bad[0]])
+        gap = float(gaps[bad[0]])
         raise PropertyViolated(
             f"generator {bad[0]} does not re-expand in the closure "
             f"(residual {gap:.3e})",
             index=int(bad[0]), residual=gap)
-    worst = max(worst, float(np.max(gaps)), float(np.max(gaps_rows, initial=0.0)))
+    worst = max(worst, float(np.max(gaps, initial=0.0)))
     out = root_inv @ ((u * v[:, np.newaxis]) @ u.conj().T) @ root
-    out[0] = np.eye(d) / np.sqrt(d)
     return OperatorAlgebra(space=space, generators=gens, basis_ops=_readonly(out),
                            algebra=embedded, star=star, expansion_residual=worst)
 

@@ -387,7 +387,13 @@ def separating_element(algebra: Algebra, phi: Character, psi: Character) -> np.n
 
 
 def indicator_element(algebra: Algebra, chars, phi: Character) -> np.ndarray:
-    """Product of separating elements: 1 at phi, 0 at every other member."""
+    """An element that is 1 at phi and 0 at every other member of chars.
+
+    Distinct characters are linearly independent, so one least-squares
+    solve gives an element w that is 0 at phi and 1 at the others, and the
+    indicator is e - w.  With one member w is zero and the indicator is
+    exactly the unit.  The result is certified before being returned.
+    """
     chars = list(chars)
     rows = np.array([psi.values for psi in chars],
                     dtype=np.complex128).reshape(len(chars), algebra.dim)
@@ -402,11 +408,9 @@ def indicator_element(algebra: Algebra, chars, phi: Character) -> np.ndarray:
     if not matches.size:
         raise NotMember("phi does not occur in the collection",
                         threshold=thresh)
-    z = algebra.unit.copy()
-    for a, psi in enumerate(chars):
-        if a == matches[0]:
-            continue
-        z = algebra.multiply(z, separating_element(algebra, phi, psi))
+    others = np.ones(len(chars))
+    others[matches[0]] = 0.0
+    z = algebra.unit - np.linalg.lstsq(rows, others, rcond=None)[0]
     eps = len(chars) * algebra.eps_char
     worst = max(abs(phi(z) - 1.0),
                 max((abs(psi(z)) for a, psi in enumerate(chars)

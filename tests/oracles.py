@@ -2,9 +2,10 @@
 
 Each oracle recomputes a quantity the library produces, by a different
 route: characters by multivariate Newton from a dense grid of starts,
-the radical via the trace form of the regular representation, abelian
-characters via direct exponential sums, conjugacy classes via union-find
-over all conjugation pairs.  Keep these free of library internals beyond
+the radical via the trace form of the regular representation, indicators
+as products of separating elements, abelian characters via direct
+exponential sums, conjugacy classes via union-find over all conjugation
+pairs.  Keep these free of library internals beyond
 the public structure-constant data.
 """
 
@@ -29,6 +30,28 @@ def naive_power(c, unit, x, m):
     out = np.array(unit, dtype=np.complex128)
     for _ in range(m):
         out = naive_multiply(c, out, x)
+    return out
+
+
+def product_indicator(c, unit, rows, match):
+    """The paper's indicator: a product of two-point separating elements.
+
+    ``rows`` holds the value vectors of distinct characters on the basis.
+    For every member psi but ``rows[match]`` = phi, the separating element
+    (b_i - psi_i e) / (phi_i - psi_i) at the basis index i of the largest
+    gap is 1 at phi and 0 at psi; their product, by ``naive_multiply``,
+    is 1 at phi and 0 at every other member.
+    """
+    rows = np.asarray(rows, dtype=np.complex128)
+    unit = np.asarray(unit, dtype=np.complex128)
+    phi = rows[match]
+    out = unit.copy()
+    for a, psi in enumerate(rows):
+        if a == match:
+            continue
+        i = int(np.argmax(np.abs(phi - psi)))
+        y = (np.eye(len(unit))[i] - psi[i] * unit) / (phi[i] - psi[i])
+        out = naive_multiply(c, out, y)
     return out
 
 

@@ -228,6 +228,9 @@ def test_finite_group_validation_errors():
         with pytest.raises(InvalidGroup) as exc:
             finite_group(table)
         assert exc.value.details["law"] == "integer"
+    with pytest.raises(InvalidGroup) as exc:
+        finite_group([[0, 1], [1, 0]], identity=0.7)  # not truncated to 0
+    assert exc.value.details["law"] == "integer"
 
 
 def test_latin_check_reports_column_before_next_row():

@@ -169,8 +169,8 @@ def test_diagonal_generator_closure():
     t = np.diag([1.0, 2.0])
     opalg = generate_star_subalgebra(space, [t])
     assert opalg.dim == 2
-    # the abstract unit sits on basis index 0 with weight sqrt(d)
-    assert_allclose(opalg.algebra.unit, [np.sqrt(2), 0.0], atol=1e-12)
+    # two points of one eigenvector each: the unit is 1 on both point masses
+    assert np.array_equal(opalg.algebra.unit, [1.0, 1.0])
     values = sorted(np.round(v.real, 6) for v in _transform_values(opalg, t))
     assert values == [1.0, 2.0]
 
@@ -338,7 +338,9 @@ def test_two_generator_closure_is_orthonormal():
     opalg = generate_star_subalgebra(space, gens)
     assert opalg.dim == 24
     ops = opalg.basis_ops
-    assert np.array_equal(ops[0], np.eye(d) / np.sqrt(d))
+    # 24 distinct joint eigenvalues: each basis op is a rank-one projector
+    # and the unit weighs each by one
+    assert np.array_equal(opalg.algebra.unit, np.ones(d))
     # orthonormal in the G inner product, i.e. in the Frobenius pairing of
     # the whitened frame W ops W⁻¹, W = G^½
     root, root_inv = gram_root(space.gram)
@@ -415,12 +417,13 @@ def test_repeated_eigenvalues_give_a_smaller_closure():
 
 
 def planted_family(seed):
-    """(space, generators, distinct tuple count) of a commuting normal family.
+    """(space, generators, multiplicities) of a commuting normal family.
 
     The joint eigenvalue tuples are distinct points of a 4 x 4 complex grid
     of spacing 0.5 in each coordinate, each used at least once on the d
     eigenvectors, so tuples repeat, and with several generators one of them
-    often repeats an eigenvalue that the others split.
+    often repeats an eigenvalue that the others split.  Entry k of the
+    multiplicities counts the eigenvectors at distinct tuple k.
     """
     rng = seeded_rng(seed, 101)
     d = int(rng.integers(2, 17))
@@ -440,20 +443,32 @@ def planted_family(seed):
     w, _ = gram_root(space.gram)
     gens = [np.linalg.solve(w, (frame * eigs[:, g]) @ frame.conj().T) @ w
             for g in range(count)]
-    return space, gens, distinct
+    return space, gens, np.bincount(which, minlength=distinct)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_planted_commuting_families_close_to_their_joint_spectrum(seed):
-    space, gens, distinct = planted_family(seed)
+    space, gens, sizes = planted_family(seed)
     opalg = generate_star_subalgebra(space, gens)
-    assert opalg.dim == distinct
-    # a real orthonormal basis: every basis op is self-adjoint, the structure
-    # constants are real and the star is coordinate conjugation
-    assert np.array_equal(opalg.star.action, np.eye(distinct))
-    assert not np.any(opalg.algebra.structure_constants.imag)
-    assert np.array_equal(opalg.basis_ops[0], np.eye(len(gens[0])) / np.sqrt(len(gens[0])))
+    m = len(sizes)
+    assert opalg.dim == m
+    # normalized point masses: every basis op is self-adjoint, the structure
+    # constants are real and diagonal and the star is coordinate conjugation
+    alg = opalg.algebra
+    assert np.array_equal(opalg.star.action, np.eye(m))
+    assert not np.any(alg.structure_constants.imag)
+    s = np.round(alg.unit.real ** 2)
+    assert sorted(s) == sorted(sizes)
+    assert np.array_equal(alg.unit, np.sqrt(s))
+    k = np.arange(m)
+    c = np.zeros((m, m, m))
+    c[k, k, k] = 1.0 / np.sqrt(s)
+    assert np.array_equal(alg.structure_constants, c)
+    assert alg.certificate.assoc_residual == 0.0
+    d = len(gens[0])
+    gap = np.max(np.abs(opalg.matrix_of(alg.unit) - np.eye(d)))
+    assert gap <= 1e-12 * space.condition
     assert verify_gelfand_isomorphism(opalg).passed
     report = involution_suite(opalg.star, characters(opalg.algebra))
     assert report["star_roundtrip_residual"] == 0.0

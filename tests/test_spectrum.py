@@ -44,6 +44,7 @@ from oracles import (
     naive_multiply,
     naive_power,
     newton_characters,
+    product_indicator,
     tensor_product,
     trace_form_radical,
 )
@@ -255,6 +256,21 @@ def test_indicator_rejects_outsiders(parity):
         indicator_element(parity, space.characters, stray)
     with pytest.raises(NotDistinct):
         indicator_element(parity, [space[0], space[0]], space[0])
+
+
+@pytest.mark.parametrize("item", standard_corpus(), ids=lambda item: item.name)
+def test_indicator_solve_matches_product_of_separating_elements(item):
+    # on a semisimple algebra the transform is a bijection, so the solve and
+    # the product must give the same element, not only the same transform
+    alg = item.algebra
+    space = characters(alg)
+    tol = len(space) * alg.eps_char
+    for k, phi in enumerate(space):
+        z = indicator_element(alg, space.characters, phi)
+        want = product_indicator(alg.structure_constants, alg.unit, space.values, k)
+        assert_allclose(space.transform(z), space.transform(want), rtol=0, atol=tol)
+        if item.expected_radical_dim == 0:
+            assert_allclose(z, want, rtol=0, atol=1e-12)
 
 
 def test_interpolate_reproduces_targets(parity):
