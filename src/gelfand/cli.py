@@ -21,10 +21,6 @@ import numpy as np
 
 from . import __version__
 from .errors import GelfandError, ParseError
-from .groups import FiniteAbelianGroup, abelian_characters, center_algebra, \
-    conjugacy_classes
-from .operators import adjoint, adjoint_defect, generate_star_subalgebra, \
-    verify_gelfand_isomorphism
 from .serialize import (
     character_table_payload,
     isomorphism_payload,
@@ -35,7 +31,6 @@ from .serialize import (
     vector_payload,
 )
 from .spectrum import DEFAULT_SEED, characters, interpolate, radical
-from .verify import involution_suite, norm_suite, verify_all
 
 
 def _seed_value(text: str) -> int:
@@ -74,7 +69,8 @@ def _require(extras: dict, key: str):
     return extras[key]
 
 
-# -- command handlers: take (document, namespace), return the report body --
+# -- command handlers: take (document, namespace), return the report body.
+# A handler imports what only it runs, so each command loads its own modules.
 
 
 def _cmd_validate(doc, ns) -> dict:
@@ -150,6 +146,8 @@ def _cmd_interpolate(doc, ns) -> dict:
 
 
 def _cmd_norms(doc, ns) -> dict:
+    from .verify import norm_suite
+
     doc, extras = _split_doc(doc, ("weights",))
     algebra, _ = parse_algebra(doc)
     weights = None
@@ -164,6 +162,8 @@ def _cmd_norms(doc, ns) -> dict:
 
 
 def _cmd_involution_check(doc, ns) -> dict:
+    from .verify import involution_suite
+
     algebra, star = parse_algebra(doc)
     if star is None:
         raise ParseError(
@@ -176,6 +176,9 @@ def _cmd_involution_check(doc, ns) -> dict:
 
 
 def _cmd_operator(doc, ns) -> dict:
+    from .operators import adjoint, adjoint_defect, generate_star_subalgebra, \
+        verify_gelfand_isomorphism
+
     space, gens = parse_operator_model(doc)
     factor = 1e-9 if ns.tol is None else ns.tol
     gram_norm = float(np.linalg.norm(space.gram, 2))
@@ -201,6 +204,9 @@ def _cmd_operator(doc, ns) -> dict:
 
 
 def _cmd_group(doc, ns) -> dict:
+    from .groups import FiniteAbelianGroup, abelian_characters, center_algebra, \
+        conjugacy_classes
+
     group = parse_group(doc)
     if isinstance(group, FiniteAbelianGroup):
         space = abelian_characters(group, seed=ns.seed)
@@ -228,6 +234,8 @@ def _cmd_group(doc, ns) -> dict:
 
 
 def _cmd_verify_all(doc, ns) -> dict:
+    from .verify import verify_all
+
     return verify_all(seed=ns.seed)
 
 

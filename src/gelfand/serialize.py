@@ -8,19 +8,18 @@ unknown keys so that a typo fails loudly instead of being ignored.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .algebra import Algebra, validate
 from .errors import ParseError
-from .groups import (
-    FiniteAbelianGroup,
-    FiniteGroup,
-    abelian_group,
-    finite_group,
-)
-from .involution import Involution, involution
-from .operators import InnerProductSpace, inner_product_space
 from .spectrum import radical
+
+if TYPE_CHECKING:
+    from .groups import FiniteAbelianGroup, FiniteGroup
+    from .involution import Involution
+    from .operators import InnerProductSpace
 
 
 def parse_complex(obj, where: str) -> complex:
@@ -133,6 +132,8 @@ def parse_algebra(doc) -> tuple[Algebra, Involution | None]:
     algebra = validate(tensor, unit, basis_names=names)
     star = None
     if star_doc is not None:
+        from .involution import involution
+
         star_doc = _mapping(star_doc, "involution")
         action = parse_matrix(_take(star_doc, "action", "involution"), n, n,
                               "involution.action")
@@ -143,6 +144,8 @@ def parse_algebra(doc) -> tuple[Algebra, Involution | None]:
 
 def parse_group(doc) -> FiniteAbelianGroup | FiniteGroup:
     """Either {"abelian": [m1, ...]} or {"cayley": [[...]], "identity": k}."""
+    from .groups import abelian_group, finite_group
+
     doc = _mapping(doc, "group")
     if "abelian" in doc:
         raw = doc.pop("abelian")
@@ -169,6 +172,8 @@ def parse_group(doc) -> FiniteAbelianGroup | FiniteGroup:
 
 def parse_operator_model(doc) -> tuple[InnerProductSpace, list[np.ndarray]]:
     """Expected shape: {"dim": d, "gram": [[...]], "generators": [[[...]]]}."""
+    from .operators import inner_product_space
+
     doc = _mapping(doc, "operator")
     d = _int(_take(doc, "dim", "operator"), "operator.dim")
     if d < 1:

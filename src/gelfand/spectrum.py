@@ -162,11 +162,12 @@ class CharacterSpace:
         n = algebra.dim
         vh = np.linalg.svd(phi)[2]
         basis = vh[len(phi):].conj().T  # (n, n - count), orthonormal
-        t_res = 0.0
-        p_res = 0.0
-        for col in basis.T:
-            t_res = max(t_res, float(np.max(np.abs(phi @ col), initial=0.0)))
-            p_res = max(p_res, float(np.max(np.abs(algebra.power(col, n)))))
+        # regular[a] is L of column a, as in Algebra.left_regular
+        regular = np.tensordot(basis, algebra.structure_constants,
+                               axes=(0, 0)).swapaxes(1, 2)
+        powers = np.linalg.matrix_power(regular, n) @ algebra.unit
+        t_res = float(np.max(np.abs(phi @ basis), initial=0.0))
+        p_res = float(np.max(np.abs(powers), initial=0.0))
         return RadicalSubspace(algebra=algebra, basis=_readonly(basis),
                                transform_residual=t_res, power_residual=p_res)
 

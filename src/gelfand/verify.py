@@ -10,11 +10,12 @@ error payload and flips the enclosing ``passed`` flags to False.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import __version__
 from .algebra import ASSOC_BASE, CHAR_BASE, Algebra, _complex_normal
-from .corpus import CorpusItem, random_operator_fixture, standard_corpus
 from .errors import GelfandError
 from .involution import _conjugates, radical_selfadjoint_span_check
 from .norms import (
@@ -24,12 +25,6 @@ from .norms import (
     suggest_l1_weights,
     verify_contraction,
     weighted_l1_norm,
-)
-from .operators import (
-    adjoint,
-    adjoint_defect,
-    generate_star_subalgebra,
-    verify_gelfand_isomorphism,
 )
 from .serialize import contraction_payload, isomorphism_payload
 from .spectrum import (
@@ -45,6 +40,9 @@ from .spectrum import (
     radical,
     seeded_rng,
 )
+
+if TYPE_CHECKING:
+    from .corpus import CorpusItem
 
 #: stream keys for the sampling loops owned by this module
 _KEY_INTERP = 6
@@ -219,6 +217,14 @@ def verify_item(item: CorpusItem, seed: int = DEFAULT_SEED) -> dict:
 
 def verify_operator_fixture(fixture_seed: int, seed: int = DEFAULT_SEED) -> dict:
     """Closure, adjoint identity and isomorphism checks for one fixture."""
+    from .corpus import random_operator_fixture
+    from .operators import (
+        adjoint,
+        adjoint_defect,
+        generate_star_subalgebra,
+        verify_gelfand_isomorphism,
+    )
+
     fix = random_operator_fixture(fixture_seed)
     d = fix.space.dim
     out = {"fixture_seed": fixture_seed, "dim": d}
@@ -249,6 +255,8 @@ def verify_operator_fixture(fixture_seed: int, seed: int = DEFAULT_SEED) -> dict
 
 def verify_all(seed: int = DEFAULT_SEED) -> dict:
     """One report covering the whole corpus plus seeded operator fixtures."""
+    from .corpus import standard_corpus
+
     items = [verify_item(item, seed=seed) for item in standard_corpus()]
     ops = [verify_operator_fixture(seed + k, seed=seed) for k in range(FIXTURES)]
     passed = all(i["passed"] for i in items) and all(o["passed"] for o in ops)

@@ -219,3 +219,16 @@ def tensor_product(c_a, u_a, c_b, u_b):
     n = len(u_a) * len(u_b)
     c = np.einsum("ikm,jln->ijklmn", np.asarray(c_a), np.asarray(c_b))
     return c.reshape(n, n, n), np.kron(u_a, u_b)
+
+
+def change_basis(c, unit, S):
+    """Structure constants and unit in the basis b'_i = sum_a S_ai b_a.
+
+    c'_ijk = sum_abl S_ai S_bj c_abl (S^-1)_kl and the unit is S^-1 e,
+    symmetrized in (i, j) against roundoff.  A character's value vector
+    becomes phi S.
+    """
+    S = np.asarray(S, dtype=np.complex128)
+    inv = np.linalg.inv(S)
+    c = np.einsum("ai,bj,abl,kl->ijk", S, S, np.asarray(c), inv)
+    return 0.5 * (c + c.transpose(1, 0, 2)), inv @ np.asarray(unit)

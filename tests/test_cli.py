@@ -273,3 +273,22 @@ def test_installed_entry_point(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["count"] == 1
+
+
+#: modules no single-algebra command needs; loading them is start-up waste
+HEAVY = ("gelfand.corpus", "gelfand.groups", "gelfand.operators",
+         "gelfand.norms", "gelfand.verify")
+
+
+@pytest.mark.parametrize("command", ["validate", "characters"])
+def test_command_loads_only_its_modules(tmp_path, command):
+    path = write(tmp_path, "dual.json", DUAL)
+    script = (
+        "import sys, gelfand.cli\n"
+        f"rc = gelfand.cli.main([{command!r}, '--input', {path!r}])\n"
+        f"print(sorted(m for m in {HEAVY!r} if m in sys.modules), rc,"
+        " file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.stderr.strip() == "[] 0", proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True

@@ -166,6 +166,21 @@ def test_radical_dimensions():
         assert_allclose(back @ v, v, atol=1e-10)
 
 
+def test_radical_residuals_within_bound_on_the_corpus():
+    # the same bounds as test_radical_dimensions, on every corpus radical
+    items = [item for item in standard_corpus() if item.expected_radical_dim]
+    assert items
+    for item in items:
+        alg = item.algebra
+        rad = radical(alg, characters(alg))
+        assert rad.dim == item.expected_radical_dim, item.name
+        assert rad.transform_residual <= alg.eps_char, item.name
+        assert rad.power_residual <= 1e-8 * 2 ** alg.dim, item.name
+        for col in rad.basis.T:
+            power = naive_power(alg.structure_constants, alg.unit, col, alg.dim)
+            assert np.max(np.abs(power)) <= 1e-8 * 2 ** alg.dim, item.name
+
+
 def test_radical_zero_for_semisimple(parity):
     rad = radical(parity, characters(parity))
     assert rad.dim == 0
