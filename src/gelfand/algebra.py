@@ -319,10 +319,8 @@ def polynomial_quotient(lower_coeffs) -> Algebra:
         shifted = np.zeros(n, dtype=np.complex128)
         shifted[1:] = prev[:-1]
         powers[m] = shifted + prev[n - 1] * (-a)
-    c = np.zeros((n, n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            c[i, j] = powers[i + j]
+    k = np.arange(n)
+    c = np.stack(powers)[k[:, None] + k]  # c[i, j] = coords of t^(i+j)
     unit = np.zeros(n, dtype=np.complex128)
     unit[0] = 1.0
     names = ["1"] + ["t" if m == 1 else f"t^{m}" for m in range(1, n)]

@@ -30,7 +30,7 @@ from .serialize import (
     parse_vector,
     vector_payload,
 )
-from .spectrum import DEFAULT_SEED, characters, interpolate, radical
+from .spectrum import DEFAULT_SEED, INTERP_TOL, characters, interpolate, radical
 
 
 def _seed_value(text: str) -> int:
@@ -133,7 +133,7 @@ def _cmd_interpolate(doc, ns) -> dict:
     algebra, _ = parse_algebra(doc)
     space = characters(algebra, seed=ns.seed)
     goal = parse_vector(raw, len(space), "targets")
-    tol = 1e-7 if ns.tol is None else ns.tol
+    tol = INTERP_TOL if ns.tol is None else ns.tol
     w = interpolate(algebra, space, goal)
     err = float(np.max(np.abs(space.transform(w) - goal), initial=0.0))
     return {
@@ -176,11 +176,11 @@ def _cmd_involution_check(doc, ns) -> dict:
 
 
 def _cmd_operator(doc, ns) -> dict:
-    from .operators import adjoint, adjoint_defect, generate_star_subalgebra, \
-        verify_gelfand_isomorphism
+    from .operators import ADJOINT_DEFECT_BASE, adjoint, adjoint_defect, \
+        generate_star_subalgebra, verify_gelfand_isomorphism
 
     space, gens = parse_operator_model(doc)
-    factor = 1e-9 if ns.tol is None else ns.tol
+    factor = ADJOINT_DEFECT_BASE if ns.tol is None else ns.tol
     gram_norm = float(np.linalg.norm(space.gram, 2))
     defects = []
     defects_ok = True

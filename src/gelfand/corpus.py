@@ -108,13 +108,7 @@ def random_algebra(seed: int, max_dim: int = 6) -> CorpusItem:
 
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(z)
-    mixed = np.zeros_like(c)
-    for a in range(dim):
-        for b in range(a, dim):
-            prod = np.einsum("i,j,ijk->k", q[:, a], q[:, b], c)
-            coeffs = q.conj().T @ prod
-            mixed[a, b] = coeffs
-            mixed[b, a] = coeffs
+    mixed = np.einsum("ia,jb,ijk,kc->abc", q, q, c, q.conj())
     alg = validate(mixed, q.conj().T @ unit)
     return CorpusItem(name=f"random-{seed}", algebra=alg, star=None,
                       expected_characters=int(blocks),

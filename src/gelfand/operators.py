@@ -55,6 +55,9 @@ EXPANSION_TOL = 1e-9
 #: base tolerance for operator-level commutation and self-adjointness
 OPERATOR_TOL = 1e-8
 
+#: base factor of the reports' adjoint-defect bound 1e-9 * (1 + ‖G‖₂ ‖T‖₂)
+ADJOINT_DEFECT_BASE = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class InnerProductSpace:

@@ -22,8 +22,12 @@ interpolation (one least-squares solve against it) and every other
 consumer read the stored array.  An empty table has shape (0, dim).  The
 radical is a property of the table, so it is certified once per space and
 stored with it: every :func:`radical` call on the same space returns the
-same :class:`RadicalSubspace`.  A consumer handed an algebra and a space
-certified for another algebra raises instead of answering.
+same :class:`RadicalSubspace`.  :func:`interpolate` takes one target or a
+stack of targets and answers all of them with one solve; the space's
+indicator elements are the interpolants of the rows of the identity, so
+one call on ``np.eye(count)`` gives them all.  A consumer handed an
+algebra and a space certified for another algebra raises instead of
+answering.
 """
 
 from __future__ import annotations
@@ -55,6 +59,9 @@ SEP_BASE = 1e-6
 #: base factor of the nilpotency thresholds: 1e-8 * (|T| |x|)_i on each row
 #: of the trace form and 1e-8 * (1 + ‖x‖)^m on the powers
 NILP_BASE = 1e-8
+
+#: pass bound on the worst transform error of an interpolant in the reports
+INTERP_TOL = 1e-7
 
 
 def seeded_rng(seed: int, *key: int) -> np.random.Generator:
@@ -412,10 +419,10 @@ def indicator_element(algebra: Algebra, chars, phi: Character) -> np.ndarray:
     others = np.ones(len(chars))
     others[matches[0]] = 0.0
     z = algebra.unit - np.linalg.lstsq(rows, others, rcond=None)[0]
+    # certify at phi itself, which may differ from its match within thresh
+    rows[matches[0]] = phi.values
     eps = len(chars) * algebra.eps_char
-    worst = max(abs(phi(z) - 1.0),
-                max((abs(psi(z)) for a, psi in enumerate(chars)
-                     if a != matches[0]), default=0.0))
+    worst = float(np.max(np.abs(rows @ z - (1.0 - others))))
     if worst > eps:
         raise PropertyViolated(
             f"indicator residual {worst:.3e} exceeds {eps:.3e}",
@@ -427,20 +434,22 @@ def interpolate(algebra: Algebra, space: CharacterSpace, targets) -> np.ndarray:
     """An element whose Gelfand transform matches the target values.
 
     ``targets`` lists one complex value per character, in the order of
-    ``space.characters``.  The characters are linearly independent, so the
-    character matrix has full row rank and one least-squares solve gives
-    the minimum-norm solution.  Raises :class:`PropertyViolated` when
+    ``space.characters``, or is a (k, count) stack of such lists, and then
+    row j of the (k, dim) result interpolates row j of the stack.  The
+    characters are linearly independent, so the character matrix has full
+    row rank and one least-squares solve gives the minimum-norm solution
+    for every target at once.  Raises :class:`PropertyViolated` when
     ``space`` was certified for another algebra.
     """
     _require_own_space(algebra, space)
     f = np.asarray(targets, dtype=np.complex128)
-    if f.shape != (len(space),):
+    if f.ndim not in (1, 2) or f.shape[-1] != len(space):
         raise LengthMismatch(
             f"expected {len(space)} target values, got shape {f.shape}",
             expected=len(space), got=list(f.shape))
-    w, _, rank, _ = np.linalg.lstsq(space.values, f, rcond=None)
+    w, _, rank, _ = np.linalg.lstsq(space.values, f.T, rcond=None)
     if rank < len(space):
         raise PropertyViolated(
             f"character matrix has numerical rank {rank} < {len(space)}",
             rank=int(rank), count=len(space))
-    return w
+    return w.T

@@ -29,12 +29,12 @@ from .norms import (
 from .serialize import contraction_payload, isomorphism_payload
 from .spectrum import (
     DEFAULT_SEED,
+    INTERP_TOL,
     NILP_BASE,
     SEP_BASE,
     CharacterSpace,
     _require_own_space,
     characters,
-    indicator_element,
     interpolate,
     is_nilpotent,
     radical,
@@ -93,18 +93,13 @@ def _character_suite(item: CorpusItem, space: CharacterSpace, rad) -> dict:
 def _interpolation_suite(algebra: Algebra, space: CharacterSpace,
                          seed: int, targets: int) -> dict:
     m = len(space)
-    worst_ind = 0.0
-    for k, phi in enumerate(space):
-        z = space.transform(indicator_element(algebra, space.characters, phi))
-        z[k] -= 1.0
-        worst_ind = max(worst_ind, float(np.max(np.abs(z))))
-    rng = seeded_rng(seed, _KEY_INTERP)
-    goals = _complex_normal(rng, (targets, m))
-    worst_err = 0.0
-    for goal in goals:
-        w = interpolate(algebra, space, goal)
-        worst_err = max(worst_err, float(np.max(np.abs(space.transform(w) - goal))))
-    ok = worst_ind <= m * algebra.eps_char and worst_err <= 1e-7
+    goals = _complex_normal(seeded_rng(seed, _KEY_INTERP), (targets, m))
+    # the indicators are the interpolants of the rows of the identity
+    wanted = np.vstack([np.eye(m), goals])
+    errors = np.abs(interpolate(algebra, space, wanted) @ space.values.T - wanted)
+    worst_ind = float(np.max(errors[:m]))
+    worst_err = float(np.max(errors[m:]))
+    ok = worst_ind <= m * algebra.eps_char and worst_err <= INTERP_TOL
     return {
         "indicator_worst_residual": worst_ind,
         "targets": targets,
@@ -116,18 +111,14 @@ def _interpolation_suite(algebra: Algebra, space: CharacterSpace,
 def _nilpotency_suite(algebra: Algebra, space: CharacterSpace, rad,
                       seed: int, samples: int) -> dict:
     rng = seeded_rng(seed, _KEY_NILP)
-    xs = list(algebra.random_elements(samples, rng))
-    for col in rad.basis.T:
-        xs.append(col)
+    xs = [algebra.random_elements(samples, rng), rad.basis.T]
     if rad.dim:
-        mix = _complex_normal(rng, (samples, rad.dim))
-        xs.extend(rad.basis @ z for z in mix)
-    mismatches = 0
-    for x in xs:
-        flag, _ = is_nilpotent(algebra, x)
-        flat = float(np.max(np.abs(space.transform(x)), initial=0.0))
-        vanishes = flat <= SEP_BASE * (1.0 + float(np.linalg.norm(x)))
-        mismatches += flag != vanishes
+        xs.append(_complex_normal(rng, (samples, rad.dim)) @ rad.basis.T)
+    xs = np.vstack(xs)
+    flags = np.array([is_nilpotent(algebra, x)[0] for x in xs], dtype=bool)
+    flat = np.max(np.abs(xs @ space.values.T), axis=1, initial=0.0)
+    vanishes = flat <= SEP_BASE * (1.0 + np.linalg.norm(xs, axis=1))
+    mismatches = int(np.count_nonzero(flags != vanishes))
     return {"samples": len(xs), "mismatches": mismatches,
             "passed": mismatches == 0}
 
@@ -219,6 +210,7 @@ def verify_operator_fixture(fixture_seed: int, seed: int = DEFAULT_SEED) -> dict
     """Closure, adjoint identity and isomorphism checks for one fixture."""
     from .corpus import random_operator_fixture
     from .operators import (
+        ADJOINT_DEFECT_BASE,
         adjoint,
         adjoint_defect,
         generate_star_subalgebra,
@@ -240,7 +232,7 @@ def verify_operator_fixture(fixture_seed: int, seed: int = DEFAULT_SEED) -> dict
         out["passed"] = False
         out["error"] = exc.payload()
         return out
-    ok = (defect <= 1e-9 * (1.0 + defect_scale)
+    ok = (defect <= ADJOINT_DEFECT_BASE * (1.0 + defect_scale)
           and opalg.dim == d
           and iso.passed)
     out.update({

@@ -15,6 +15,7 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
-                          text=True, timeout=120)
+    # -W error matches the filterwarnings setting the test suite runs under
+    proc = subprocess.run([sys.executable, "-W", "error", str(script)],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

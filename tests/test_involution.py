@@ -1,5 +1,7 @@
 """Involution certification, conjugate characters, self-adjoint splitting."""
 
+from importlib import import_module
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -27,7 +29,14 @@ from gelfand.involution import (
     radical_selfadjoint_span_check,
     selfadjoint_parts,
 )
-from gelfand.spectrum import DEFAULT_SEED, Character, CharacterSpace, separation_threshold
+from gelfand.spectrum import (
+    DEFAULT_SEED,
+    Character,
+    CharacterSpace,
+    RadicalSubspace,
+    radical,
+    separation_threshold,
+)
 from gelfand.verify import _KEY_STAR, involution_suite
 
 from oracles import naive_multiply
@@ -270,6 +279,38 @@ def test_radical_span_check_depth_three():
     alg = polynomial_quotient([0.0, 0.0, 0.0])
     rep = radical_selfadjoint_span_check(coordinate_conjugation(alg), characters(alg))
     assert rep.passed and rep.radical_dim == 2 and rep.checked == 4
+
+
+def test_radical_span_check_reports_the_first_leaking_column(monkeypatch):
+    # jet-3 has radical span{t, t^2}; columns 1 and 2 of the fake basis
+    # hold 1 and 1 + t, which every character maps to 1
+    alg = polynomial_quotient([0.0, 0.0, 0.0])
+    space = characters(alg)
+    basis = np.array([[0, 1, 0], [1, 0, 0], [1, 1, 0]], dtype=complex).T
+    fake = RadicalSubspace(algebra=alg, basis=basis, transform_residual=1.0,
+                           power_residual=1.0)
+    # the package binds the function involution over its module's name
+    monkeypatch.setattr(import_module("gelfand.involution"), "radical",
+                        lambda algebra, space: fake)
+    with pytest.raises(PropertyViolated, match="radical vector 1 leaks") as err:
+        radical_selfadjoint_span_check(coordinate_conjugation(alg), space)
+    assert err.value.details == {"column": 1, "residual": 1.0,
+                                 "tolerance": alg.eps_char}
+
+
+@pytest.mark.parametrize("item", [item for item in standard_corpus()
+                                  if item.star is not None
+                                  and item.expected_radical_dim],
+                         ids=lambda item: item.name)
+def test_radical_span_check_matches_the_selfadjoint_parts_loop(item):
+    inv = item.star
+    space = characters(inv.algebra)
+    rad = radical(inv.algebra, space)
+    worst = max(float(np.max(np.abs(space.transform(part)), initial=0.0))
+                for col in rad.basis.T for part in selfadjoint_parts(inv, col))
+    rep = radical_selfadjoint_span_check(inv, space)
+    assert rep.checked == 2 * rad.dim
+    assert rep.worst_residual == pytest.approx(worst, rel=1e-12, abs=1e-15)
 
 
 def _stars():

@@ -305,6 +305,27 @@ def test_interpolate_checks_length(parity):
         interpolate(parity, space, [1, 2, 3])
 
 
+@pytest.mark.parametrize("item", standard_corpus(), ids=lambda item: item.name)
+def test_interpolate_stack_matches_single_calls(item):
+    alg = item.algebra
+    space = characters(alg)
+    rng = np.random.default_rng(0x5EED)
+    goals = rng.standard_normal((4, len(space), 2)) @ [1, 1j]
+    stack = interpolate(alg, space, goals)
+    assert stack.shape == (4, alg.dim)
+    singles = np.array([interpolate(alg, space, goal) for goal in goals])
+    assert_allclose(stack, singles, rtol=0, atol=1e-14)
+
+
+def test_interpolate_rejects_a_wrong_last_axis_and_3d_input(parity):
+    space = characters(parity)
+    assert interpolate(parity, space, np.eye(2)).shape == (2, 2)
+    for shape in [(3, 3), (2, 1), (1, 2, 2)]:
+        with pytest.raises(LengthMismatch) as err:
+            interpolate(parity, space, np.ones(shape))
+        assert err.value.details == {"expected": 2, "got": list(shape)}
+
+
 def test_interpolate_random_targets():
     rng = np.random.default_rng(0x5EED)
     alg = polynomial_quotient([-1, 0, 0])

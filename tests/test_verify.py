@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gelfand import CertificationFailed, characters, random_algebra, standard_corpus
+from gelfand import spectrum, verify
 from gelfand.algebra import Algebra
 from gelfand.verify import FIXTURES, SAMPLES, norm_suite, verify_all, verify_item
 
@@ -90,6 +91,29 @@ def test_norm_suite_draws_one_batch_per_kind(monkeypatch):
     report = norm_suite(alg, space)
     assert report["kinds"] == 3
     assert counts == [SAMPLES] * 3
+
+
+def test_separation_suite_solves_once_for_indicators_and_targets(monkeypatch):
+    alg = _item("Z6").algebra
+    space = characters(alg)
+    shapes = []
+    indicators = []
+    solve, indicator_element = spectrum.interpolate, spectrum.indicator_element
+
+    def counted(algebra, space, targets):
+        shapes.append(np.shape(targets))
+        return solve(algebra, space, targets)
+
+    def indicator(*args):
+        indicators.append(args)
+        return indicator_element(*args)
+
+    monkeypatch.setattr(verify, "interpolate", counted)
+    monkeypatch.setattr(spectrum, "indicator_element", indicator)
+    report = verify._interpolation_suite(alg, space, seed=0x5EED, targets=10)
+    assert report["passed"] is True
+    assert shapes == [(6 + 10, 6)]
+    assert indicators == []
 
 
 @pytest.mark.parametrize("seed", [0x5EED, 7])
