@@ -23,7 +23,6 @@ from . import __version__
 from .errors import GelfandError, ParseError
 from .serialize import (
     character_table_payload,
-    isomorphism_payload,
     parse_algebra,
     parse_group,
     parse_operator_model,
@@ -176,31 +175,10 @@ def _cmd_involution_check(doc, ns) -> dict:
 
 
 def _cmd_operator(doc, ns) -> dict:
-    from .operators import ADJOINT_DEFECT_BASE, adjoint, adjoint_defect, \
-        generate_star_subalgebra, verify_gelfand_isomorphism
+    from .verify import operator_suite
 
     space, gens = parse_operator_model(doc)
-    factor = ADJOINT_DEFECT_BASE if ns.tol is None else ns.tol
-    gram_norm = float(np.linalg.norm(space.gram, 2))
-    defects = []
-    defects_ok = True
-    for g in gens:
-        defect = adjoint_defect(space, g, adjoint(space, g))
-        bound = factor * (1.0 + gram_norm * float(np.linalg.norm(g, 2)))
-        defects.append(float(defect))
-        defects_ok = defects_ok and defect <= bound
-    opalg = generate_star_subalgebra(space, gens)
-    iso = verify_gelfand_isomorphism(opalg, seed=ns.seed)
-    return {
-        "dim": space.dim,
-        "condition": float(space.condition),
-        "generator_count": len(gens),
-        "closure_dim": int(opalg.dim),
-        "expansion_residual": float(opalg.expansion_residual),
-        "adjoint_defects": defects,
-        "isomorphism": isomorphism_payload(iso),
-        "passed": bool(defects_ok and iso.passed),
-    }
+    return operator_suite(space, gens, seed=ns.seed, factor=ns.tol)
 
 
 def _cmd_group(doc, ns) -> dict:

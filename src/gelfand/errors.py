@@ -31,11 +31,12 @@ def _plain(obj):
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        # inf and nan are not JSON (RFC 8259): the report says null
+        return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.complexfloating, complex)):
-        return [float(obj.real), float(obj.imag)]
+        return [_plain(obj.real), _plain(obj.imag)]
     if isinstance(obj, np.ndarray):
         return _plain(obj.tolist())
     return obj

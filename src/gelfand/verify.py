@@ -6,6 +6,10 @@ family.  All sampling flows from one seed through fixed stream keys, so
 two calls with the same seed produce identical reports, byte for byte
 once serialized.  A failed check never raises; it is recorded with its
 error payload and flips the enclosing ``passed`` flags to False.
+
+:func:`norm_suite`, :func:`involution_suite` and :func:`operator_suite`
+are also the reports of the ``norms``, ``involution-check`` and
+``operator`` commands.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .spectrum import (
 
 if TYPE_CHECKING:
     from .corpus import CorpusItem
+    from .operators import InnerProductSpace
 
 #: stream keys for the sampling loops owned by this module
 _KEY_INTERP = 6
@@ -206,9 +211,13 @@ def verify_item(item: CorpusItem, seed: int = DEFAULT_SEED) -> dict:
     return out
 
 
-def verify_operator_fixture(fixture_seed: int, seed: int = DEFAULT_SEED) -> dict:
-    """Closure, adjoint identity and isomorphism checks for one fixture."""
-    from .corpus import random_operator_fixture
+def operator_suite(space: InnerProductSpace, generators,
+                   seed: int = DEFAULT_SEED, factor: float | None = None) -> dict:
+    """Adjoint identity, star closure and Gelfand isomorphism checks.
+
+    A generator T passes when its adjoint defect is at most
+    ``factor·(1 + ‖G‖₂‖T‖₂)``; ``factor`` defaults to ADJOINT_DEFECT_BASE.
+    """
     from .operators import (
         ADJOINT_DEFECT_BASE,
         adjoint,
@@ -217,31 +226,37 @@ def verify_operator_fixture(fixture_seed: int, seed: int = DEFAULT_SEED) -> dict
         verify_gelfand_isomorphism,
     )
 
-    fix = random_operator_fixture(fixture_seed)
-    d = fix.space.dim
-    out = {"fixture_seed": fixture_seed, "dim": d}
-    try:
-        t = fix.generator
-        t_star = adjoint(fix.space, t)
-        defect = adjoint_defect(fix.space, t, t_star)
-        defect_scale = float(np.linalg.norm(fix.space.gram, 2)
-                             * np.linalg.norm(t, 2))
-        opalg = generate_star_subalgebra(fix.space, [t])
-        iso = verify_gelfand_isomorphism(opalg, seed=seed)
-    except GelfandError as exc:
-        out["passed"] = False
-        out["error"] = exc.payload()
-        return out
-    ok = (defect <= ADJOINT_DEFECT_BASE * (1.0 + defect_scale)
-          and opalg.dim == d
-          and iso.passed)
-    out.update({
-        "adjoint_defect": float(defect),
+    factor = ADJOINT_DEFECT_BASE if factor is None else factor
+    gram_norm = float(np.linalg.norm(space.gram, 2))
+    defects = []
+    defects_ok = True
+    for g in generators:
+        defect = float(adjoint_defect(space, g, adjoint(space, g)))
+        defects.append(defect)
+        bound = factor * (1.0 + gram_norm * float(np.linalg.norm(g, 2)))
+        defects_ok = defects_ok and defect <= bound
+    opalg = generate_star_subalgebra(space, generators)
+    iso = verify_gelfand_isomorphism(opalg, seed=seed)
+    return {
+        "dim": space.dim,
+        "condition": float(space.condition),
+        "generator_count": len(generators),
         "closure_dim": int(opalg.dim),
         "expansion_residual": float(opalg.expansion_residual),
+        "adjoint_defects": defects,
         "isomorphism": isomorphism_payload(iso),
-        "passed": bool(ok),
-    })
+        "passed": bool(defects_ok and iso.passed),
+    }
+
+
+def verify_operator_fixture(fixture_seed: int, seed: int = DEFAULT_SEED) -> dict:
+    """The operator suite on one seeded fixture, whose closure must be full."""
+    from .corpus import random_operator_fixture
+
+    fix = random_operator_fixture(fixture_seed)
+    out = {"fixture_seed": fixture_seed, "dim": fix.space.dim}
+    out.update(_guarded(operator_suite, fix.space, [fix.generator], seed=seed))
+    out["passed"] = out["passed"] and out["closure_dim"] == out["dim"]
     return out
 
 

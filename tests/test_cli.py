@@ -4,10 +4,17 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gelfand
+from gelfand import CertificationFailed, PropertyViolated, characters
 from gelfand.cli import main
+from gelfand.corpus import random_operator_fixture, standard_corpus
+from gelfand.serialize import parse_algebra, parse_operator_model, vector_payload
+from gelfand.verify import norm_suite, operator_suite
+
+from oracles import change_basis
 
 
 def write(tmp_path, name, doc):
@@ -117,6 +124,17 @@ def test_norms_suite(capsys, parity_path):
     assert doc["passed"] is True
 
 
+def test_norms_with_user_weights(capsys, tmp_path):
+    doc = dict(PARITY, weights=[1, 2])
+    rc, out = run_json(capsys, ["norms", "--input", write(tmp_path, "w.json", doc)])
+    algebra, _ = parse_algebra(PARITY)
+    body = norm_suite(algebra, characters(algebra), samples=1000,
+                      weights=np.array([1.0, 2.0]))
+    assert rc == 0
+    assert {k: out[k] for k in body} == body
+    assert out["kinds"] == 3 and out["skipped"] == [] and out["passed"] is True
+
+
 def test_norms_rejects_complex_weights(capsys, tmp_path):
     path = write(tmp_path, "w.json", dict(PARITY, weights=[[1, 1], [1, 0]]))
     rc, doc = run_json(capsys, ["norms", "--input", path])
@@ -163,6 +181,45 @@ def test_operator_rejects_noncommuting_generator(capsys, tmp_path):
     rc, doc = run_json(capsys, ["operator", "--input", path])
     assert rc == 2
     assert doc["error"]["type"] == "NotCommutative"
+
+
+def fixture_doc(seed):
+    fix = random_operator_fixture(seed)
+    return {"dim": fix.space.dim,
+            "gram": [vector_payload(row) for row in fix.space.gram],
+            "generators": [[vector_payload(row) for row in fix.generator]]}
+
+
+WRAPPER = {"command", "version", "seed", "tolerance"}
+
+
+@pytest.mark.parametrize("tol", [None, 1e-20])
+def test_operator_report_is_the_operator_suite(capsys, tmp_path, tol):
+    doc = fixture_doc(3)
+    argv = ["operator", "--input", write(tmp_path, "op.json", doc)]
+    if tol is not None:
+        argv += ["--tol", repr(tol)]
+    rc, out = run_json(capsys, argv)
+    body = operator_suite(*parse_operator_model(doc), factor=tol)
+    assert set(out) == set(body) | WRAPPER
+    assert {k: out[k] for k in body} == body
+    # --tol scales the adjoint-defect bound, and 1e-20 is below this defect
+    assert body["passed"] is (tol is None)
+    assert rc == (0 if tol is None else 2)
+
+
+def test_operator_closure_failure_exits_two(capsys, tmp_path, monkeypatch):
+    exc = PropertyViolated("closure broke", index=0, residual=1.0)
+
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("gelfand.operators.generate_star_subalgebra", boom)
+    path = write(tmp_path, "op.json", fixture_doc(3))
+    rc, out = run_json(capsys, ["operator", "--input", path])
+    assert rc == 2
+    assert out["error"] == exc.payload()
+    assert out["passed"] is False
 
 
 def test_group_abelian_report(capsys, tmp_path):
@@ -227,6 +284,43 @@ def test_internal_failure_exits_one(capsys, dual_path, monkeypatch):
     rc, doc = run_json(capsys, ["characters", "--input", dual_path])
     assert rc == 1
     assert doc["error"]["type"] == "RuntimeError"
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_error_payload_turns_non_finite_values_into_null():
+    exc = CertificationFailed(
+        "gap inf", gap=float("inf"), worst=np.float64("nan"),
+        z=complex(1.0, float("-inf")), rows=np.array([1.0, np.inf]),
+        count=np.int64(3))
+    payload = exc.payload()
+    assert payload["details"] == {"gap": None, "worst": None, "z": [1.0, None],
+                                  "rows": [1.0, None], "count": 3}
+    assert payload["message"] == "gap inf"
+    assert exc.details["gap"] == float("inf")
+    json.loads(json.dumps(payload), parse_constant=reject_constant)
+
+
+def test_failed_character_search_prints_strict_json(capsys, tmp_path):
+    # Z2 in a basis of condition 1e6: the compressed matrix has one
+    # eigenvalue, so the best gap is inf, and no candidate certifies
+    z2 = next(item.algebra for item in standard_corpus() if item.name == "Z2")
+    rng = np.random.default_rng(2)
+    q1 = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    c, unit = change_basis(z2.structure_constants, z2.unit,
+                           q1 @ np.diag([1.0, 1e6]) @ q2)
+    path = write(tmp_path, "z2.json", {
+        "dim": 2, "unit": vector_payload(unit),
+        "structure_constants": [[vector_payload(row) for row in m] for m in c]})
+    rc, out = run(capsys, ["characters", "--input", path])
+    assert rc == 2
+    doc = json.loads(out, parse_constant=reject_constant)
+    assert doc["error"]["type"] == "CertificationFailed"
+    assert doc["error"]["details"]["eigenvalue_gap"] is None
+    assert "best eigenvalue gap inf" in doc["error"]["message"]
 
 
 def test_bad_seed_is_a_usage_error(capsys, dual_path):

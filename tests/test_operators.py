@@ -206,6 +206,21 @@ def test_generator_just_outside_the_closure_shows_in_expansion_residual():
     assert opalg.expansion_residual >= 1e-9
 
 
+def test_generator_that_does_not_re_expand_in_its_closure_raises():
+    # eigenvalues 0 and x: at 2.5e-9 the points stay apart, at 1.2e-9 they
+    # merge with a leftover x/√2 inside the expansion tolerance, and at
+    # 1.9e-9 they merge with a leftover outside it
+    space = euclidean(2)
+    assert generate_star_subalgebra(space, [np.diag([0.0, 2.5e-9])]).dim == 2
+    merged = generate_star_subalgebra(space, [np.diag([0.0, 1.2e-9])])
+    assert merged.dim == 1
+    assert merged.expansion_residual == pytest.approx(1.2e-9 / np.sqrt(2))
+    with pytest.raises(PropertyViolated) as exc:
+        generate_star_subalgebra(space, [np.diag([0.0, 1.9e-9])])
+    assert exc.value.details["index"] == 0
+    assert exc.value.details["residual"] == pytest.approx(1.9e-9 / np.sqrt(2))
+
+
 @pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-7])
 def test_close_eigenvalues_of_a_normal_generator_are_resolved(gap):
     # G-normal, Gram condition 100, eigenvalues 0 and gap among 8 spread ones

@@ -25,6 +25,7 @@ from gelfand import (
     standard_corpus,
     validate,
 )
+from gelfand.algebra import _complex_normal
 from gelfand.spectrum import (
     Character,
     CharacterSpace,
@@ -34,6 +35,7 @@ from gelfand.spectrum import (
     indicator_element,
     interpolate,
     is_nilpotent,
+    nilpotency_threshold,
     radical,
     separating_element,
     separation_threshold,
@@ -351,6 +353,68 @@ def test_zero_retries_reports_failure(parity):
     details = info.value.payload()["details"]
     assert details["retries"] == 0
     assert {"eigenvalue_gap", "worst_residual", "eps_char"} <= set(details)
+
+
+def test_retry_after_a_coincident_spectrum_certifies_the_default_table(
+        parity, monkeypatch):
+    default = characters(parity).values
+    draws = []
+
+    def zeros_once(rng, shape):
+        draws.append(shape)
+        if len(draws) == 1:
+            return np.zeros(shape, complex)
+        return _complex_normal(rng, shape)
+
+    monkeypatch.setattr("gelfand.spectrum._complex_normal", zeros_once)
+    space = characters(parity)
+    assert len(draws) == 2
+    assert np.max(np.abs(space.values - default)) <= 1e-15
+
+
+def test_retry_after_a_rejected_certificate_certifies_the_default_table(
+        parity, monkeypatch):
+    default = characters(parity).values
+    scans = []
+
+    def inf_once(algebra, vectors):
+        scans.append(len(vectors))
+        res = character_residuals(algebra, vectors)
+        return np.full_like(res, np.inf) if len(scans) == 1 else res
+
+    monkeypatch.setattr("gelfand.spectrum.character_residuals", inf_once)
+    space = characters(parity)
+    assert scans == [2, 2]
+    assert np.max(np.abs(space.values - default)) <= 1e-15
+
+
+def test_failed_certificates_report_the_worst_residual(parity, monkeypatch):
+    worst = iter([0.5, 2.0, 1.0])
+
+    def rejected(algebra, vectors):
+        return np.full(len(vectors), next(worst))
+
+    monkeypatch.setattr("gelfand.spectrum.character_residuals", rejected)
+    with pytest.raises(CertificationFailed) as info:
+        characters(parity, retries=3)
+    details = info.value.payload()["details"]
+    assert details["retries"] == 3
+    assert details["worst_residual"] == 2.0
+    assert details["eigenvalue_gap"] > 0.0
+
+
+def test_is_nilpotent_falls_back_to_the_dimension():
+    # (t-1)^8: roundoff keeps every power of a radical element, the
+    # eighth too, above the nilpotency threshold, so the exponent is dim
+    alg = polynomial_quotient(npoly.polyfromroots([1.0] * 8)[:-1])
+    rad = radical(alg, characters(alg))
+    rng = np.random.default_rng(0)
+    x = rad.basis @ (rng.standard_normal(rad.dim) + 1j * rng.standard_normal(rad.dim))
+    p, lx, xn = alg.unit, alg.left_regular(x), float(np.linalg.norm(x))
+    for m in range(1, alg.dim + 1):
+        p = lx @ p
+        assert float(np.max(np.abs(p))) > nilpotency_threshold(xn, m)
+    assert is_nilpotent(alg, x) == (True, 8)
 
 
 # repeated and near-coincident roots, in the monomial basis of C[t]/(q)

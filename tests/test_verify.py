@@ -6,10 +6,25 @@ import json
 import numpy as np
 import pytest
 
-from gelfand import CertificationFailed, characters, random_algebra, standard_corpus
+from gelfand import (
+    CertificationFailed,
+    PropertyViolated,
+    characters,
+    random_algebra,
+    standard_corpus,
+)
 from gelfand import spectrum, verify
 from gelfand.algebra import Algebra
-from gelfand.verify import FIXTURES, SAMPLES, norm_suite, verify_all, verify_item
+from gelfand.corpus import random_operator_fixture
+from gelfand.verify import (
+    FIXTURES,
+    SAMPLES,
+    norm_suite,
+    operator_suite,
+    verify_all,
+    verify_item,
+    verify_operator_fixture,
+)
 
 
 def _item(name):
@@ -114,6 +129,37 @@ def test_separation_suite_solves_once_for_indicators_and_targets(monkeypatch):
     assert report["passed"] is True
     assert shapes == [(6 + 10, 6)]
     assert indicators == []
+
+
+def test_operator_fixtures_carry_the_operator_suite():
+    report = verify_all(7)
+    for k, out in enumerate(report["operator_fixtures"]):
+        fix = random_operator_fixture(7 + k)
+        body = operator_suite(fix.space, [fix.generator], seed=7)
+        assert out == {"fixture_seed": 7 + k, **body}
+        assert out["closure_dim"] == out["dim"] and out["passed"] is True
+
+
+def test_operator_fixture_requires_a_full_closure(monkeypatch):
+    def short(space, generators, **kwargs):
+        body = operator_suite(space, generators, **kwargs)
+        assert body["passed"] is True
+        return dict(body, closure_dim=body["dim"] - 1)
+
+    monkeypatch.setattr("gelfand.verify.operator_suite", short)
+    assert verify_operator_fixture(0)["passed"] is False
+
+
+def test_failed_operator_fixture_is_recorded_not_raised(monkeypatch):
+    exc = PropertyViolated("closure broke", index=0, residual=1.0)
+
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("gelfand.operators.generate_star_subalgebra", boom)
+    out = verify_operator_fixture(0)
+    assert out == {"fixture_seed": 0, "dim": random_operator_fixture(0).space.dim,
+                   "passed": False, "error": exc.payload()}
 
 
 @pytest.mark.parametrize("seed", [0x5EED, 7])
