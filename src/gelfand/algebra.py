@@ -10,30 +10,51 @@ are plain complex128 coordinate vectors of length n; all operations are
 pure functions of immutable data.
 
 ``validate`` is the only way to build an :class:`Algebra`, for user
-tensors and the library's own builders alike.  It checks the axioms
-(commutativity exactly after a bounded symmetrization, associativity and
-the unit law within scaled tolerances), one basis index at a time in O(n³)
-memory, and records the worst residuals found in a
-:class:`ValidationCertificate`.  Associativity is scanned over triples
-(i, j, l) with i <= l only: by commutativity the residual of (l, j, i) is
-the negative of that of (i, j, l).  A tensor with no imaginary part is
-scanned in real arithmetic.
+tensors and the library's own builders alike.  It checks commutativity
+exactly after a bounded symmetrization, then the unit law and
+associativity within scaled tolerances, and records the worst residuals
+in a :class:`ValidationCertificate` together with the route that
+certified associativity:
+
+* ``"table"``: when the unit law holds, the character search runs on the
+  candidate.  If it finds n = dim characters, their table V maps the
+  algebra injectively and multiplicatively into Cⁿ, which is associative,
+  so the algebra is too.  The recorded associativity figure is then a
+  bound on the residual, computed from the characters' multiplicativity
+  residuals, ‖V⁻¹‖∞ and the row sums of |c| in O(n³) after the O(n⁴)
+  search (see :func:`_table_bound`).
+* ``"scan"``: otherwise the triples (i, j, l) are compared one basis
+  index at a time in O(n³) memory and O(n⁵) time, with i <= l only: by
+  commutativity the residual of (l, j, i) is the negative of that of
+  (i, j, l).  A tensor with no imaginary part is scanned in real
+  arithmetic.  A non-associative tensor is caught here, before a bad
+  unit is reported.
+
+Group algebras, class-sum algebras and operator closures are semisimple
+and take the table route; jets and repeated-root quotients have fewer
+characters than their dimension and take the scan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import (
     BadUnit,
+    CertificationFailed,
     DimensionMismatch,
     NotAssociative,
     NotCommutative,
+    PropertyViolated,
     ShapeMismatch,
 )
+
+if TYPE_CHECKING:
+    from .spectrum import CharacterSpace
 
 #: absolute asymmetry above which a structure tensor is rejected instead of
 #: being repaired by symmetrization
@@ -44,6 +65,9 @@ ASSOC_BASE = 1e-9
 
 #: base factor for the character certification tolerance 1e-8 * (1 + max|c|)
 CHAR_BASE = 1e-8
+
+#: unit roundoff of IEEE double precision
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -100,11 +124,19 @@ def _worst_entry(slices) -> tuple[float, tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class ValidationCertificate:
-    """Worst residuals observed while validating a structure tensor."""
+    """Worst residuals observed while validating a structure tensor.
+
+    ``route`` names how associativity was certified: ``"scan"`` when every
+    triple was compared, and then ``assoc_residual`` is the worst residual
+    observed, or ``"table"`` when the algebra has dim characters, and then
+    ``assoc_residual`` is a rigorous bound on it computed from the
+    character table, not an observed residual.
+    """
 
     asymmetry: float
     assoc_residual: float
     unit_residual: float
+    route: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,11 +145,15 @@ class Algebra:
 
     Do not construct directly; :func:`validate` is the only constructor, and
     the builder helpers (:func:`polynomial_quotient`, the group class-sum
-    algebras) go through it too.  A class-sum algebra's associativity
-    already follows from its group's, but for a group center the scan is
-    small next to certifying the Cayley table (for S5, about a twentieth
-    of ``finite_group``'s time), so the certificate is made in one place.
+    algebras, the operator closures) go through it too.  When the algebra
+    has dim characters, validate certifies associativity from their table
+    in O(n⁴), ``certificate.route`` is ``"table"`` and
+    ``certificate.assoc_residual`` is a bound, not an observed residual;
+    otherwise it scans every triple in O(n⁵) and the route is ``"scan"``.
 
+    The character space of validate's search, at the default seed and
+    retries, is stored on the instance whatever its count, and
+    :func:`~gelfand.spectrum.characters` returns it for those arguments.
     ``trace_form`` is computed once, on first use, and shared by every
     consumer (:func:`~gelfand.spectrum.characters`,
     :func:`~gelfand.spectrum.is_nilpotent`).
@@ -129,6 +165,8 @@ class Algebra:
     certificate: ValidationCertificate
     #: largest structure-constant magnitude, ‖c‖∞, computed once by validate
     scale: float
+    #: the space of validate's character search, or None when it failed
+    _space: CharacterSpace | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -227,6 +265,10 @@ def validate(structure_constants, unit, basis_names=None) -> Algebra:
         Coordinates of the multiplicative identity.
     basis_names : sequence of str, optional
 
+    Associativity is certified from the character table when the unit law
+    holds and the algebra has n characters, and by the O(n⁵) scan
+    otherwise; ``certificate.route`` says which.
+
     Raises
     ------
     ShapeMismatch, NotCommutative, NotAssociative, BadUnit
@@ -260,17 +302,100 @@ def validate(structure_constants, unit, basis_names=None) -> Algebra:
             f"c[{i}][{j}][{k}] and c[{j}][{i}][{k}] differ by {asym:.3e} "
             f"(limit {SYMMETRY_TOL:.0e})",
             index=[i, j, k], asymmetry=asym, limit=SYMMETRY_TOL)
-    c = 0.5 * (c + c.transpose(1, 0, 2))
+    # symmetrize into one C-order array, the tensor the algebra keeps
+    c = np.add(c, c.transpose(1, 0, 2), order="C")
+    c *= 0.5
+    c.setflags(write=False)
 
     scale = float(np.max(np.abs(c)))
     eps_assoc = ASSOC_BASE * (1.0 + scale) ** 3
+    alg = Algebra(structure_constants=c, unit=_readonly(u),
+                  basis_names=basis_names, certificate=None, scale=scale)
 
-    # associativity, one b_i at a time: entry [j, l - i, m] of slice i
-    # compares coords((b_i b_j) b_l) with coords(b_i (b_j b_l)).  By
-    # commutativity the triple (l, j, i) compares the same two products in
-    # the other order, R[l, j, i] = -R[i, j, l], so slice i scans l >= i
-    # only and the witness has i <= l.  A real tensor is scanned in real
-    # arithmetic.
+    # unit law, O(n³): row j of sum_i u_i c[i, j, :] must be e_j.  It is
+    # reported only after the scan, so a tensor that is not associative
+    # raises NotAssociative whatever its unit.
+    unit_zero = float(np.linalg.norm(u)) == 0.0
+    action = np.tensordot(u, c, axes=(0, 0))
+    unit_res, (_, unit_j, _) = _worst_entry((np.abs(action - np.eye(n)),))
+    unit_ok = not unit_zero and unit_res <= eps_assoc
+
+    assoc_res = _table_bound(alg) if unit_ok else np.inf
+    route = "table"
+    if not assoc_res <= eps_assoc:
+        route = "scan"
+        assoc_res = _scan(c, eps_assoc)
+
+    if unit_zero:
+        raise BadUnit("unit vector is zero")
+    if not unit_ok:
+        raise BadUnit(
+            f"unit acts on b{unit_j} with residual {unit_res:.3e} "
+            f"(tolerance {eps_assoc:.3e})",
+            basis_index=unit_j, residual=unit_res, tolerance=eps_assoc)
+
+    object.__setattr__(alg, "certificate", ValidationCertificate(
+        asymmetry=asym, assoc_residual=assoc_res, unit_residual=unit_res,
+        route=route))
+    return alg
+
+
+def _table_bound(alg: Algebra) -> float:
+    """A bound on the associativity residual from the character table, or inf.
+
+    Runs the character search on the candidate at the default seed and
+    stores its space on it, whatever the count.  With n = dim characters,
+    V (count x dim) is invertible and the map x -> V x is injective and
+    multiplicative up to the residuals r(b_i, b_j) = V(b_i b_j) - V b_i ⊙
+    V b_j, entrywise at most rho.  Expanding both sides of a basis triple,
+
+        V((b_i b_j) b_l - b_i (b_j b_l)) = r(b_i, b_j) ⊙ V b_l
+            - V b_i ⊙ r(b_j, b_l) + sum_k c_ijk r(b_k, b_l)
+            - sum_k c_jlk r(b_i, b_k),
+
+    so every associator is at most 2 rho (max|V| + S) ‖V⁻¹‖∞, where S is
+    the largest row sum max_ij sum_k |c_ijk|.  rho is the computed worst
+    residual plus gamma_{n+1} max|V| (S + max|V|) for its own rounding, and
+    ‖V⁻¹‖∞ <= ‖X‖∞ / (1 - eta) for the computed inverse X with eta =
+    ‖I - V X‖∞ < 1/2.  Returns inf when the search fails, finds fewer
+    characters or the inverse is too inaccurate.
+    """
+    from .spectrum import characters  # spectrum builds on this module
+
+    try:
+        space = characters(alg)
+    except (CertificationFailed, PropertyViolated):
+        return np.inf
+    object.__setattr__(alg, "_space", space)
+    n = alg.dim
+    if len(space) != n:
+        return np.inf
+    v = space.values
+    try:
+        x = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        return np.inf
+    eta = float(np.max(np.sum(np.abs(np.eye(n) - v @ x), axis=1)))
+    if not eta < 0.5:
+        return np.inf
+    x_norm = float(np.max(np.sum(np.abs(x), axis=1)))
+    big = float(np.max(np.abs(v)))
+    rows = float(np.max(np.sum(np.abs(alg.structure_constants), axis=2)))
+    gamma = (n + 1) * UNIT_ROUNDOFF / (1.0 - (n + 1) * UNIT_ROUNDOFF)
+    rho = space.worst_residual + gamma * big * (rows + big)
+    return 2.0 * rho * x_norm / (1.0 - eta) * (big + rows)
+
+
+def _scan(c: np.ndarray, eps_assoc: float) -> float:
+    """The worst associativity residual over all triples; raises above eps_assoc.
+
+    One b_i at a time: entry [j, l - i, m] of slice i compares
+    coords((b_i b_j) b_l) with coords(b_i (b_j b_l)).  By commutativity the
+    triple (l, j, i) compares the same two products in the other order,
+    R[l, j, i] = -R[i, j, l], so slice i scans l >= i only and the witness
+    has i <= l.  A real tensor is scanned in real arithmetic.
+    """
+    n = c.shape[0]
     w = c if np.any(c.imag) else np.ascontiguousarray(c.real)
     assoc_res, (i, j, l, _) = _worst_entry(
         np.abs(np.tensordot(w[s], w[:, s:], axes=(1, 0)) - w[:, s:] @ w[s])
@@ -281,21 +406,7 @@ def validate(structure_constants, unit, basis_names=None) -> Algebra:
             f"(b{i}·b{j})·b{l} and b{i}·(b{j}·b{l}) differ by {assoc_res:.3e} "
             f"(tolerance {eps_assoc:.3e})",
             triple=[i, j, l], residual=assoc_res, tolerance=eps_assoc)
-
-    # unit law: row j of sum_i u_i c[i, j, :] must be e_j
-    if float(np.linalg.norm(u)) == 0.0:
-        raise BadUnit("unit vector is zero")
-    action = np.tensordot(u, c, axes=(0, 0))
-    unit_res, (_, j, _) = _worst_entry((np.abs(action - np.eye(n)),))
-    if unit_res > eps_assoc:
-        raise BadUnit(
-            f"unit acts on b{j} with residual {unit_res:.3e} (tolerance {eps_assoc:.3e})",
-            basis_index=j, residual=unit_res, tolerance=eps_assoc)
-
-    cert = ValidationCertificate(asymmetry=asym, assoc_residual=assoc_res,
-                                 unit_residual=unit_res)
-    return Algebra(structure_constants=_readonly(c), unit=_readonly(u),
-                   basis_names=basis_names, certificate=cert, scale=scale)
+    return assoc_res
 
 
 def polynomial_quotient(lower_coeffs) -> Algebra:

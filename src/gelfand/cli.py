@@ -80,6 +80,7 @@ def _cmd_validate(doc, ns) -> dict:
         "scale": float(algebra.scale),
         "asymmetry": float(cert.asymmetry),
         "assoc_residual": float(cert.assoc_residual),
+        "assoc_route": cert.route,
         "unit_residual": float(cert.unit_residual),
         "eps_assoc": float(algebra.eps_assoc),
         "involution_certified": star is not None,

@@ -164,19 +164,33 @@ class OperatorAlgebra:
     the basis is orthonormal in the G inner product ⟨A, B⟩_G = tr(B* A),
     B* the adjoint, and self-adjoint, so ``star`` is coordinate
     conjugation.  Basis op k is the spectral projector of joint eigenvalue
-    k over √s_k, s_k its multiplicity, so the abstract unit is √s.
+    k over √s_k, s_k its multiplicity, so the abstract unit is √s.  The
+    (m, d, d) stack is built from the eigenbasis and the point masses on
+    first use and kept read-only; the abstract algebra does not need it.
     """
 
     space: InnerProductSpace
     generators: tuple[np.ndarray, ...]
-    basis_ops: np.ndarray          # (m, d, d), orthonormal in the G inner product
     algebra: Algebra
     star: Involution
     expansion_residual: float
+    #: unitary joint eigenbasis U of the whitened generators, (d, d)
+    _eigenbasis: np.ndarray
+    #: normalized point masses, one row per basis op, (m, d)
+    _points: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.basis_ops.shape[0]
+        return self.algebra.dim
+
+    @cached_property
+    def basis_ops(self) -> np.ndarray:
+        """Read-only (m, d, d) stack W⁻¹ U diag(v_k) Uᴴ W, orthonormal in G."""
+        root, root_inv = self.space._whitening
+        u = self._eigenbasis
+        ops = root_inv @ ((u * self._points[:, np.newaxis]) @ u.conj().T) @ root
+        ops.setflags(write=False)
+        return ops
 
     def __repr__(self) -> str:
         return (f"OperatorAlgebra(dim={self.dim}, "
@@ -241,7 +255,10 @@ def generate_star_subalgebra(space: InnerProductSpace,
     within the expansion tolerance, since merging points that differ below
     the threshold leaves a generator's spread over.  ``expansion_residual``
     is the worst of those leftovers and of the generators' off-diagonal
-    norms.  ``basis_ops`` is W⁻¹ U diag(v_k) Uᴴ W.
+    norms.  ``basis_ops`` is W⁻¹ U diag(v_k) Uᴴ W, built on first use.
+    The diagonal tensor has m characters, so validate certifies its
+    associativity from their table and keeps them for
+    :func:`verify_gelfand_isomorphism`.
     """
     d = space.dim
     gens = tuple(_readonly(_operator(space, g)) for g in generators)
@@ -294,9 +311,10 @@ def generate_star_subalgebra(space: InnerProductSpace,
             f"(residual {gap:.3e})",
             index=int(bad[0]), residual=gap)
     worst = max(worst, float(np.max(gaps, initial=0.0)))
-    out = root_inv @ ((u * v[:, np.newaxis]) @ u.conj().T) @ root
-    return OperatorAlgebra(space=space, generators=gens, basis_ops=_readonly(out),
-                           algebra=embedded, star=star, expansion_residual=worst)
+    u.setflags(write=False)
+    v.setflags(write=False)
+    return OperatorAlgebra(space=space, generators=gens, algebra=embedded, star=star,
+                           expansion_residual=worst, _eigenbasis=u, _points=v)
 
 
 def _check_commuting(gens, adjs) -> list[tuple[str, str, float, float]]:

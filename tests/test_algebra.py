@@ -12,6 +12,9 @@ from gelfand import (
     NotAssociative,
     NotCommutative,
     ShapeMismatch,
+    abelian_group,
+    abelian_group_algebra,
+    characters,
     dual_numbers,
     polynomial_quotient,
     validate,
@@ -35,9 +38,20 @@ def parity_algebra():
 def test_validate_hand_built_parity_algebra():
     alg = parity_algebra()
     assert alg.dim == 2
-    assert alg.certificate.assoc_residual == 0.0
     assert alg.certificate.unit_residual == 0.0
     assert_allclose(alg.left_regular([0, 1]), [[0, 1], [1, 0]])
+    # two characters, V = [[1, -1], [1, 1]]: max|V| = 1, the row sums of
+    # |c| are 1 and ‖V⁻¹‖∞ = 1, so the table bound is 4 (rho + 2 gamma_3)
+    assert alg.certificate.route == "table"
+    rho = characters(alg).worst_residual
+    gamma = 3 * 2.0 ** -53 / (1 - 3 * 2.0 ** -53)
+    assert alg.certificate.assoc_residual == pytest.approx(4 * (rho + 2 * gamma), rel=1e-9)
+    assert alg.certificate.assoc_residual <= 1e-14
+    # the dual numbers have one character, so every triple is scanned,
+    # and their integer products are exact
+    dual = dual_numbers()
+    assert dual.certificate.route == "scan"
+    assert dual.certificate.assoc_residual == 0.0
 
 
 def test_validate_rejects_asymmetric_tensor():
@@ -64,15 +78,8 @@ def test_validate_repairs_tiny_asymmetry():
 
 
 def test_validate_rejects_nonassociative_tensor():
-    # b1*b1 = b2, b1*b2 = 0, b2*b2 = b1 breaks (b1 b1) b2 = b1 (b1 b2)
-    c = np.zeros((3, 3, 3), dtype=complex)
-    for j in range(3):
-        c[0, j, j] = 1.0
-        c[j, 0, j] = 1.0
-    c[1, 1, 2] = 1.0
-    c[2, 2, 1] = 1.0
     with pytest.raises(NotAssociative):
-        validate(c, [1, 0, 0])
+        validate(nonassociative_tensor(), [1, 0, 0])
 
 
 def test_worst_entry_scans_in_c_order_from_minus_infinity():
@@ -158,21 +165,33 @@ def test_nonassociative_witness_orders_its_twin_triples():
         assert first <= last
 
 
-def test_validate_peak_memory_is_cubic():
-    # Z_40 on delta functions; the residual slices keep the traced peak
-    # below ten complex n^3 tensors, where two n^4 tensors would not fit
-    n = 40
-    c = np.zeros((n, n, n), dtype=complex)
-    idx = np.arange(n)
-    c[idx[:, None], idx[None, :], (idx[:, None] + idx[None, :]) % n] = 1.0
-    unit = np.eye(n)[0]
+def _traced_validate(c, unit):
     tracemalloc.start()
     try:
         alg = validate(c, unit)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return alg, peak
+
+
+def test_validate_peak_memory_is_cubic():
+    # C[t]/(t^40) has one character and is scanned, where the residual
+    # slices keep the traced peak below ten complex n^3 tensors and two
+    # n^4 tensors would not fit; Z_40 on delta functions takes the table
+    # route under the same bound
+    n = 40
+    nil = polynomial_quotient(np.zeros(n)).structure_constants
+    alg, peak = _traced_validate(nil, np.eye(n)[0])
+    assert alg.certificate.route == "scan"
     assert alg.certificate.assoc_residual == 0.0
+    assert peak < 10 * n**3 * 16
+    idx = np.arange(n)
+    cyclic = np.zeros((n, n, n), dtype=complex)
+    cyclic[idx[:, None], idx[None, :], (idx[:, None] + idx[None, :]) % n] = 1.0
+    alg, peak = _traced_validate(cyclic, np.eye(n)[0])
+    assert alg.certificate.route == "table"
+    assert alg.certificate.assoc_residual <= alg.eps_assoc
     assert peak < 10 * n**3 * 16
 
 
@@ -202,6 +221,115 @@ def test_bad_unit_names_the_worst_basis_index():
         validate(c, [1.0, 1e-3])
     assert exc.value.details["basis_index"] == 0
     assert exc.value.details["residual"] == 1e-3
+
+
+# -- the table route ----------------------------------------------------------
+
+
+def nonassociative_tensor():
+    """b0 is the unit; b1 b1 = b2, b2 b2 = b1 breaks (b1 b1) b2 = b1 (b1 b2)."""
+    c = np.zeros((3, 3, 3), dtype=complex)
+    for j in range(3):
+        c[0, j, j] = 1.0
+        c[j, 0, j] = 1.0
+    c[1, 1, 2] = 1.0
+    c[2, 2, 1] = 1.0
+    return c
+
+
+def perturbed_product_algebra(n, size, rng):
+    """Cⁿ on its idempotents plus a symmetric perturbation of max entry size.
+
+    The perturbation's sums over the first index vanish, so the unit
+    (1, ..., 1) still acts as the identity and only associativity breaks.
+    """
+    m = rng.standard_normal((n, n, n))
+    m = m + m.transpose(1, 0, 2)
+    s = m.sum(axis=0)
+    m = m - (s[np.newaxis] + s[:, np.newaxis]) / n + s.sum(axis=0) / n**2
+    k = np.arange(n)
+    c = np.zeros((n, n, n))
+    c[k, k, k] = 1.0
+    return c + size * m / np.max(np.abs(m)), np.ones(n)
+
+
+def worst_associator(c):
+    """max |((b_i b_j) b_l - b_i (b_j b_l))_k| over all triples, by einsum."""
+    return float(np.max(np.abs(np.einsum("ijm,mlk->ijlk", c, c)
+                               - np.einsum("jlm,imk->ijlk", c, c))))
+
+
+@pytest.mark.parametrize("size", [1e-2, 1e-5, 1e-7])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_table_route_certifies_no_perturbed_product_algebra(n, size):
+    # every unital commutative algebra of dimension 2 is associative, so the
+    # table may certify those probes, with a bound above the true residual;
+    # from n = 3 on the probes are not associative, and each one either
+    # fails the scan or passes it, never the table
+    rng = np.random.default_rng([n, round(-np.log10(size))])
+    for _ in range(10):
+        c, unit = perturbed_product_algebra(n, size, rng)
+        assert np.max(np.abs(np.tensordot(unit, c, axes=(0, 0)) - np.eye(n))) <= 1e-15
+        worst = worst_associator(c)
+        try:
+            alg = validate(c, unit)
+        except NotAssociative as exc:
+            assert exc.details["residual"] > exc.details["tolerance"]
+            continue
+        assert worst <= alg.eps_assoc
+        if n == 2:
+            assert worst <= alg.certificate.assoc_residual
+        else:
+            assert alg.certificate.route == "scan"
+
+
+@pytest.mark.parametrize("size", [1e-9, 1e-10])
+def test_table_bound_is_above_the_true_residual(size):
+    # perturbations this small keep the characters within eps_char, so the
+    # table route certifies some probes; its bound must cover the residual
+    # that a brute-force scan of every triple finds
+    tabled = 0
+    for n in (3, 4, 6):
+        rng = np.random.default_rng([n, round(-np.log10(size))])
+        for _ in range(10):
+            c, unit = perturbed_product_algebra(n, size, rng)
+            alg = validate(c, unit)
+            if alg.certificate.route == "table":
+                tabled += 1
+                assert worst_associator(c) <= alg.certificate.assoc_residual
+    assert tabled >= 5
+
+
+def test_nonassociative_tensor_with_a_bad_unit_is_not_associative():
+    for unit in ([0, 1, 0], [0, 0, 0], [1, 1e-3, 0]):
+        with pytest.raises(NotAssociative):
+            validate(nonassociative_tensor(), unit)
+
+
+def test_semisimple_tensor_with_a_bad_unit_names_the_unit():
+    # parity is associative, so the scan passes and the unit law decides
+    c = parity_algebra().structure_constants
+    with pytest.raises(BadUnit) as exc:
+        validate(c, [1.0, 1e-3])
+    assert exc.value.details["basis_index"] == 0
+    assert exc.value.details["residual"] == 1e-3
+    with pytest.raises(BadUnit, match="zero"):
+        validate(c, [0, 0])
+
+
+def test_rotated_cyclic_group_takes_the_table_route():
+    # Z_64 in a random unitary basis: a complex tensor the scan would take
+    # n^5 complex products to certify
+    n = 64
+    alg, _ = abelian_group_algebra(abelian_group((n,)))
+    rng = np.random.default_rng(64)
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    c = np.einsum("ai,bj,abl,kl->ijk", q, q, alg.structure_constants,
+                  np.linalg.inv(q), optimize=True)
+    rotated = validate(0.5 * (c + c.transpose(1, 0, 2)), np.linalg.solve(q, alg.unit))
+    assert rotated.certificate.route == "table"
+    assert rotated.certificate.assoc_residual <= rotated.eps_assoc
+    assert len(characters(rotated)) == n
 
 
 def test_validate_rejects_bad_shapes():

@@ -70,8 +70,18 @@ def test_validate_report(capsys, dual_path):
     assert doc["seed"] == 0x5EED
     assert doc["dim"] == 2
     assert doc["asymmetry"] == 0.0
+    assert doc["assoc_route"] == "scan"
+    assert doc["assoc_residual"] == 0.0
     assert doc["involution_certified"] is False
     assert doc["passed"] is True
+
+
+def test_validate_reports_the_table_route(capsys, parity_path):
+    # two characters on a 2-dimensional algebra: the residual is their bound
+    rc, doc = run_json(capsys, ["validate", "--input", parity_path])
+    assert rc == 0
+    assert doc["assoc_route"] == "table"
+    assert 0.0 < doc["assoc_residual"] <= doc["eps_assoc"]
 
 
 def test_characters_on_nilpotent_plane(capsys, dual_path):

@@ -480,13 +480,33 @@ def test_planted_commuting_families_close_to_their_joint_spectrum(seed):
     c = np.zeros((m, m, m))
     c[k, k, k] = 1.0 / np.sqrt(s)
     assert np.array_equal(alg.structure_constants, c)
-    assert alg.certificate.assoc_residual == 0.0
+    # m point masses give m characters, so the table certifies associativity
+    assert alg.certificate.route == "table"
+    assert alg.certificate.assoc_residual <= 1e-13
     d = len(gens[0])
     gap = np.max(np.abs(opalg.matrix_of(alg.unit) - np.eye(d)))
     assert gap <= 1e-12 * space.condition
     assert verify_gelfand_isomorphism(opalg).passed
     report = involution_suite(opalg.star, characters(opalg.algebra))
     assert report["star_roundtrip_residual"] == 0.0
+
+
+def test_d64_closure_takes_the_table_route_and_builds_its_ops_lazily():
+    d = 64
+    rng = seeded_rng(64)
+    space = inner_product_space(random_gram(d, rng))
+    opalg = generate_star_subalgebra(space, [planted_normal(space, np.arange(d) * 0.5, rng)])
+    alg = opalg.algebra
+    assert opalg.dim == alg.dim == d
+    assert alg.certificate.route == "table"
+    assert alg.certificate.assoc_residual <= alg.eps_assoc
+    assert "basis_ops" not in vars(opalg)
+    report = verify_gelfand_isomorphism(opalg)
+    assert report.space is characters(alg)
+    ops = opalg.basis_ops
+    assert ops.shape == (d, d, d) and not ops.flags.writeable
+    assert opalg.basis_ops is ops
+    assert_allclose(opalg.matrix_of(alg.unit), np.eye(d), atol=1e-10 * space.condition)
 
 
 def test_isomorphism_report_returns_the_space_it_certified():

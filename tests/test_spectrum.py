@@ -27,6 +27,8 @@ from gelfand import (
 )
 from gelfand.algebra import _complex_normal
 from gelfand.spectrum import (
+    DEFAULT_SEED,
+    RETRIES,
     Character,
     CharacterSpace,
     character_residual,
@@ -366,8 +368,10 @@ def test_retry_after_a_coincident_spectrum_certifies_the_default_table(
             return np.zeros(shape, complex)
         return _complex_normal(rng, shape)
 
+    # validate's search on a fresh parity algebra runs under the patch and
+    # stores the space that characters returns
     monkeypatch.setattr("gelfand.spectrum._complex_normal", zeros_once)
-    space = characters(parity)
+    space = characters(polynomial_quotient([-1, 0]))
     assert len(draws) == 2
     assert np.max(np.abs(space.values - default)) <= 1e-15
 
@@ -383,7 +387,7 @@ def test_retry_after_a_rejected_certificate_certifies_the_default_table(
         return np.full_like(res, np.inf) if len(scans) == 1 else res
 
     monkeypatch.setattr("gelfand.spectrum.character_residuals", inf_once)
-    space = characters(parity)
+    space = characters(polynomial_quotient([-1, 0]))
     assert scans == [2, 2]
     assert np.max(np.abs(space.values - default)) <= 1e-15
 
@@ -718,7 +722,24 @@ def test_radical_is_stored_with_its_table(cubic_nil):
     assert radical(cubic_nil, space) is rad
     assert rad.dim == 2
     # another space of the same algebra certifies its own radical
-    assert radical(cubic_nil, characters(cubic_nil)) is not rad
+    assert radical(cubic_nil, characters(cubic_nil, seed=1)) is not rad
+
+
+def test_validate_stores_the_space_that_characters_returns(parity, cubic_nil):
+    # parity has two characters and takes the table route, cubic_nil has
+    # one and is scanned; both keep the space of validate's search
+    for alg in (parity, cubic_nil):
+        space = characters(alg)
+        assert space is alg._space
+        assert characters(alg, seed=DEFAULT_SEED, retries=RETRIES) is space
+
+
+def test_other_seeds_and_retries_search_afresh(parity):
+    stored = characters(parity)
+    for fresh in (characters(parity, seed=1), characters(parity, retries=RETRIES + 1)):
+        assert fresh is not stored
+        assert fresh.algebra is parity
+        assert np.max(np.abs(fresh.values - stored.values)) <= 1e-12
 
 
 def test_spectrum_consumers_reject_a_foreign_space(parity):
